@@ -15,32 +15,6 @@ the two write-path configurations (see ``bench_ingest.py``):
 * ``single`` — one ``add_annotation`` call per annotation,
 * ``batched`` — the whole load through one ``add_annotations`` call.
 
-``--bench query`` sweeps query selectivity (~1% / ~10% / ~50%) at the
-same ratios in the two scan pipelines (see ``bench_query_pushdown.py``):
-
-* ``eager`` — ``pushdown=False``: in-memory predicates, hydrate-at-scan,
-* ``lazy`` — sargable predicates compiled into the storage statement and
-  hydration deferred to surviving rows.
-
-``--bench plan`` compares the cost-based planner against the
-rule-based one on the three plan shapes it rewrites (see
-``bench_plan_cost.py``) — a skewed three-way join, top-k aggregates at
-~1/10/50% selectivity, and a 250x-annotated hydrate-placement
-workload:
-
-* ``rule`` — ``cost_planner=False``: the rule-based plans,
-* ``cost`` — statistics-driven join ordering, aggregation pushdown,
-  and hydrate placement (the session default).
-
-``--bench concurrency`` sweeps the number of client threads (1/2/4/8)
-issuing pushdown queries against a file-backed database while a writer
-thread ingests annotation batches (see ``bench_concurrency.py``):
-
-* ``serial`` — all reads on the lock-serialized writer connection (the
-  pre-pool topology),
-* ``pooled`` — per-thread read-only WAL connections that never wait for
-  the writer.
-
 ``--bench shard`` sweeps the storage shard count (1/2/4/8) under mixed
 load — four writer threads bulk-ingesting annotations while eight
 reader threads run scatter-gather pushdown queries (see
@@ -80,13 +54,12 @@ count of a cold run, and the result lands in ``BENCH_scan.json`` /
 leave a comparable perf trajectory (the ``BENCH_*.json`` convention).
 The ingest report also records annotations/second, and the run fails if
 the batched path does not cut statements by at least 3x at the top
-ratio; the concurrency run fails if pooled reads do not at least double
-aggregate throughput at 4 client threads.
+ratio.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_bench.py \
-        [--bench {scan,ingest,query,concurrency,shard,serve,zoomin}] \
+        [--bench {scan,ingest,shard,serve,zoomin}] \
         [--quick] [--output PATH]
 """
 
@@ -228,176 +201,6 @@ def run_ingest(quick: bool, repeats: int) -> dict:
             single["statements"] / max(batched["statements"], 1), 2
         )
         results["ingest"][f"{ratio}x"] = cell
-    return results
-
-
-def run_query(quick: bool, repeats: int) -> dict:
-    """Selectivity-swept query timings, eager vs lazy scan pipeline."""
-    from benchmarks.bench_query_pushdown import (
-        MODES as QUERY_MODES,
-        SELECTIVITIES,
-        build_query_session,
-        measure_query,
-        query_sql,
-        weight_threshold,
-    )
-
-    ratios = QUICK_RATIOS if quick else FULL_RATIOS
-    num_birds = 80 if quick else 240
-    results: dict = {}
-    for ratio in ratios:
-        for mode in QUERY_MODES:
-            session = build_query_session(num_birds, ratio, mode)
-            try:
-                for name, fraction in SELECTIVITIES.items():
-                    sql = query_sql(weight_threshold(session, fraction))
-                    cell = results.setdefault(name, {}).setdefault(
-                        f"{ratio}x", {}
-                    )
-                    cell[mode] = measure_query(session, sql, repeats)
-            finally:
-                session.close()
-    for name, series in results.items():
-        for ratio_key, cell in series.items():
-            eager, lazy = cell["eager"], cell["lazy"]
-            cell["speedup"] = round(
-                eager["median_s"] / max(lazy["median_s"], 1e-9), 3
-            )
-            cell["statement_ratio"] = round(
-                eager["summary_statements"]
-                / max(lazy["summary_statements"], 1),
-                2,
-            )
-    return results
-
-
-def run_plan(quick: bool, repeats: int) -> dict:
-    """Rule-vs-cost plan timings over the three rewritten shapes."""
-    from benchmarks.bench_plan_cost import (
-        HYDRATE_SQL,
-        JOIN_SQL,
-        MODES as PLAN_MODES,
-        SELECTIVITIES,
-        build_hydrate_session,
-        build_join_session,
-        build_topk_session,
-        measure_plan_query,
-        topk_sql,
-        value_threshold,
-    )
-
-    join_sizes = (25, 20, 300) if quick else (150, 120, 3000)
-    topk_rows = 2000 if quick else 15_000
-    hydrate_shape = (40, 30) if quick else (150, 250)
-    results: dict = {}
-    for mode in PLAN_MODES:
-        suppliers, parts, orders = join_sizes
-        session = build_join_session(
-            mode, suppliers=suppliers, parts=parts, orders=orders
-        )
-        try:
-            cell = results.setdefault("join_3way", {}).setdefault(
-                f"{orders}f", {}
-            )
-            cell[mode] = measure_plan_query(session, JOIN_SQL, repeats)
-        finally:
-            session.close()
-        session = build_topk_session(mode, readings=topk_rows)
-        try:
-            for name, fraction in SELECTIVITIES.items():
-                sql = topk_sql(value_threshold(session, fraction))
-                cell = results.setdefault("topk_agg", {}).setdefault(name, {})
-                cell[mode] = measure_plan_query(session, sql, repeats)
-        finally:
-            session.close()
-        rows, ratio = hydrate_shape
-        session = build_hydrate_session(mode, rows=rows, ratio=ratio)
-        try:
-            cell = results.setdefault("hydrate", {}).setdefault(
-                f"{ratio}x", {}
-            )
-            cell[mode] = measure_plan_query(session, HYDRATE_SQL, repeats)
-        finally:
-            session.close()
-    for series in results.values():
-        for cell in series.values():
-            rule, cost = cell["rule"], cell["cost"]
-            cell["speedup"] = round(
-                rule["median_s"] / max(cost["median_s"], 1e-9), 3
-            )
-            cell["statement_ratio"] = round(
-                rule["statements"] / max(cost["statements"], 1), 2
-            )
-    return results
-
-
-def run_concurrency(quick: bool, repeats: int) -> dict:
-    """Client-thread sweep under concurrent ingest, serial vs pooled."""
-    import tempfile
-    from concurrent.futures import ThreadPoolExecutor
-
-    from benchmarks.bench_concurrency import (
-        MODES as CONCURRENCY_MODES,
-        THREAD_COUNTS,
-        build_concurrency_session,
-        measure_concurrency,
-        reader_statements,
-        warm_clients,
-    )
-
-    thread_counts = (1, 4) if quick else THREAD_COUNTS
-    num_rows = 10_000 if quick else 50_000
-    batch_rows = 20_000 if quick else 30_000
-    per_reader = 4 if quick else 8
-    results: dict = {"read_under_ingest": {}}
-    with tempfile.TemporaryDirectory() as tmp:
-        for mode in CONCURRENCY_MODES:
-            session = build_concurrency_session(
-                f"{tmp}/{mode}.db", num_rows, mode
-            )
-            executor = ThreadPoolExecutor(max_workers=max(thread_counts))
-            try:
-                warm_clients(session, executor, max(thread_counts))
-                statements = reader_statements(session)
-                for n_readers in thread_counts:
-                    runs = [
-                        measure_concurrency(
-                            session, executor, n_readers,
-                            per_reader, batch_rows,
-                        )
-                        for _ in range(repeats)
-                    ]
-                    median_s = statistics.median(
-                        run["seconds"] for run in runs
-                    )
-                    queries = runs[0]["queries"]
-                    cell = results["read_under_ingest"].setdefault(
-                        f"{n_readers}t", {}
-                    )
-                    cell[mode] = {
-                        "median_s": round(median_s, 6),
-                        "statements": statements,
-                        "queries": queries,
-                        "queries_per_s": round(
-                            queries / max(median_s, 1e-9), 1
-                        ),
-                        "writer_batches": int(
-                            statistics.median(
-                                run["writer_batches"] for run in runs
-                            )
-                        ),
-                    }
-            finally:
-                executor.shutdown()
-                session.close()
-    for cell in results["read_under_ingest"].values():
-        serial, pooled = cell["serial"], cell["pooled"]
-        cell["speedup"] = round(
-            serial["median_s"] / max(pooled["median_s"], 1e-9), 3
-        )
-        cell["statement_ratio"] = round(
-            serial["statements"] / max(pooled["statements"], 1), 2
-        )
     return results
 
 
@@ -738,104 +541,6 @@ def check_shard_gate(results: dict, quick: bool) -> list[str]:
     return failures
 
 
-def check_plan_gate(results: dict, quick: bool) -> list[str]:
-    """The cost-planner acceptance gate (empty list = pass).
-
-    Across the swept workloads the cost planner must at least double
-    wall-clock on one skewed configuration — the shapes exist because
-    the rule plans are badly wrong there — and must never regress any
-    cell below 0.9x (a cost model that wins one workload by losing
-    another is mistuned).  In --quick mode the workloads are too small
-    for stable timings under scheduler noise, so misses only warn.
-    """
-    failures: list[str] = []
-    best = 0.0
-    best_key = "?"
-    for name, series in results.items():
-        for cell_key, cell in series.items():
-            if cell["speedup"] > best:
-                best, best_key = cell["speedup"], f"{name}/{cell_key}"
-            if cell["speedup"] < 0.9:
-                message = (
-                    f"plan {name} at {cell_key}: speedup "
-                    f"{cell['speedup']:.2f}x — the cost planner must not "
-                    "regress any workload below 0.9x of the rule plans"
-                )
-                if quick:
-                    print(f"warning: {message} (tolerated in --quick mode)")
-                else:
-                    failures.append(message)
-    if best < 2.0:
-        message = (
-            f"plan: best speedup {best:.2f}x ({best_key}) — the cost "
-            "planner must at least double wall-clock on one skewed "
-            "configuration"
-        )
-        if quick:
-            print(f"warning: {message} (tolerated in --quick mode)")
-        else:
-            failures.append(message)
-    return failures
-
-
-def check_concurrency_gate(results: dict, quick: bool) -> list[str]:
-    """The concurrent-read acceptance gate (empty list = pass).
-
-    At 4 client threads the pooled topology must at least double the
-    aggregate read throughput of the serialized baseline — fixed read
-    work, so a 2x throughput gain is ``speedup >= 2.0`` on wall-clock.
-    In --quick mode the workload is too small for stable timings under
-    scheduler noise, so a miss only warns.
-    """
-    failures: list[str] = []
-    cell = results["read_under_ingest"].get("4t")
-    if cell is None:
-        return ["concurrency: no 4-thread cell was measured"]
-    if cell["speedup"] < 2.0:
-        message = (
-            f"concurrency at 4t: speedup {cell['speedup']:.2f}x — pooled "
-            "reads must at least double aggregate throughput over the "
-            "serialized baseline"
-        )
-        if quick:
-            print(f"warning: {message} (tolerated in --quick mode)")
-        else:
-            failures.append(message)
-    return failures
-
-
-def check_query_gate(results: dict, quick: bool) -> list[str]:
-    """The pushdown acceptance gate: returns failure messages (empty = pass).
-
-    At the top measured ratio, for every selectivity at or below 10%,
-    the lazy pipeline must issue at least 3x fewer summary-catalog/
-    attachment statements and, in full mode, win on wall-clock too (in
-    --quick mode the workload is too small for stable timings, so a
-    wall-clock loss only warns).
-    """
-    failures: list[str] = []
-    for name in ("sel_1pct", "sel_10pct"):
-        series = results[name]
-        top = max(series, key=lambda key: int(key.rstrip("x")))
-        cell = series[top]
-        if cell["statement_ratio"] < 3.0:
-            failures.append(
-                f"query {name} at {top}: statement_ratio "
-                f"{cell['statement_ratio']:.2f} < 3.0 — the lazy pipeline "
-                "must cut summary statements by at least 3x"
-            )
-        if cell["speedup"] <= 1.0:
-            message = (
-                f"query {name} at {top}: speedup {cell['speedup']:.2f}x — "
-                "the lazy pipeline did not win on wall-clock"
-            )
-            if quick:
-                print(f"warning: {message} (tolerated in --quick mode)")
-            else:
-                failures.append(message)
-    return failures
-
-
 def check_ingest_gate(results: dict, quick: bool) -> list[str]:
     """The ingest acceptance gate: returns failure messages (empty = pass).
 
@@ -886,40 +591,6 @@ BENCHES = {
         },
         "pair": ("single", "batched"),
         "gate": check_ingest_gate,
-    },
-    "query": {
-        "run": run_query,
-        "benchmark": "query_pushdown",
-        "output": "BENCH_query.json",
-        "modes": {
-            "eager": "pushdown off: in-memory predicates, hydrate-at-scan",
-            "lazy": "storage pushdown + lazy block-wise hydration",
-        },
-        "pair": ("eager", "lazy"),
-        "gate": check_query_gate,
-    },
-    "plan": {
-        "run": run_plan,
-        "benchmark": "plan_cost",
-        "output": "BENCH_plan.json",
-        "modes": {
-            "rule": "cost_planner=False: rule-based plans",
-            "cost": "statistics-driven join order, aggregation "
-            "pushdown, hydrate placement",
-        },
-        "pair": ("rule", "cost"),
-        "gate": check_plan_gate,
-    },
-    "concurrency": {
-        "run": run_concurrency,
-        "benchmark": "concurrent_reads",
-        "output": "BENCH_concurrency.json",
-        "modes": {
-            "serial": "all reads on the lock-serialized writer connection",
-            "pooled": "per-thread read-only WAL connections",
-        },
-        "pair": ("serial", "pooled"),
-        "gate": check_concurrency_gate,
     },
     "shard": {
         "run": run_shard,

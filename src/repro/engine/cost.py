@@ -391,9 +391,9 @@ class CostModel:
 
     All constants are in abstract units relative to ``EMIT_ROW`` = the
     cost of streaming one tuple through an operator.  They were picked
-    by calibrating the model against the rule-based planner on the
-    bench workloads (bench_plan_cost.py), not measured per machine —
-    only the *relative ordering* of plan alternatives matters.
+    by calibrating the model against un-rewritten plans on skewed join,
+    top-k aggregate and hydrate-placement workloads, not measured per
+    machine — only the *relative ordering* of plan alternatives matters.
     """
 
     #: Defaults when a table or column has no statistics at all.

@@ -19,6 +19,7 @@ plug into any stage of the pipeline, as §2.1 requires.
 from __future__ import annotations
 
 import abc
+import functools
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -29,38 +30,33 @@ from repro.model.tuple import AnnotatedTuple
 from repro.summaries.classifier import ClassifierSummary
 from repro.summaries.cluster import ClusterSummary
 
-# Resolution cache: (schema, name) -> column index.  Schemas are small
-# tuples, so the cache stays tiny while avoiding a linear scan per row.
-_RESOLUTION_CACHE: dict[tuple[tuple[str, ...], str], int] = {}
+#: Bound of the column-resolution cache.  Resolution runs per row, so it
+#: is memoized; the bound keeps a long-running server from growing the
+#: cache with every distinct alias its clients send.
+RESOLUTION_CACHE_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=RESOLUTION_CACHE_SIZE)
 def resolve_column(schema: tuple[str, ...], name: str) -> int:
     """Index of column ``name`` in ``schema``.
 
     Exact (qualified) matches win; otherwise an unqualified name matches a
     unique qualified column with that suffix.  Ambiguous or unknown names
-    raise :class:`ExpressionError`.
+    raise :class:`ExpressionError` (errors are not cached).
     """
-    key = (schema, name)
-    cached = _RESOLUTION_CACHE.get(key)
-    if cached is not None:
-        return cached
     if name in schema:
-        index = schema.index(name)
-    else:
-        matches = [
-            i for i, column in enumerate(schema) if _suffix_matches(column, name)
-        ]
-        if not matches:
-            raise ExpressionError(
-                f"unknown column {name!r}; available: {list(schema)}"
-            )
-        if len(matches) > 1:
-            ambiguous = [schema[i] for i in matches]
-            raise ExpressionError(f"ambiguous column {name!r}: {ambiguous}")
-        index = matches[0]
-    _RESOLUTION_CACHE[key] = index
-    return index
+        return schema.index(name)
+    matches = [
+        i for i, column in enumerate(schema) if _suffix_matches(column, name)
+    ]
+    if not matches:
+        raise ExpressionError(
+            f"unknown column {name!r}; available: {list(schema)}"
+        )
+    if len(matches) > 1:
+        ambiguous = [schema[i] for i in matches]
+        raise ExpressionError(f"ambiguous column {name!r}: {ambiguous}")
+    return matches[0]
 
 
 _AGGREGATE_NAME_RE = re.compile(r"([a-z]+)\((.*)\)")

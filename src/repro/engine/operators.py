@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import abc
 import time
-from collections import deque
 from collections.abc import Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -269,9 +267,9 @@ class ExecutionStats:
     (read checkouts, writer batches) the query drove, recorded by the
     session around execution.
 
-    Accumulation is lock-protected — parallel hydration and scatter
-    producers may drive operators of the same query from several threads
-    at once.
+    Accumulation and snapshots are lock-protected: sessions are shared
+    across threads, and a result's stats may be read from a thread other
+    than the one that ran the query.
     """
 
     rows_scanned: int = 0
@@ -406,14 +404,8 @@ class HydrateOperator(Operator):
     schema is the kept column subset, so attachments are narrowed to the
     surviving columns and fully-dropped annotations have their effects
     removed from the (copy-on-write) summary objects — the same outcome
-    as the old hydrate-at-scan ordering, at a fraction of the fetches.
-
-    With ``workers > 1`` the block fetches fan out across a bounded
-    thread pool: each worker runs its block's two bulk reads on its own
-    pooled read connection while the main thread keeps consuming input,
-    and blocks are *emitted* strictly in submission order, so output is
-    byte-identical to the serial path.  ``workers=1`` (the default) is
-    exactly the serial fetch-then-emit loop.
+    as hydrating at the scan and projecting afterwards, at a fraction of
+    the fetches.
     """
 
     def __init__(
@@ -427,14 +419,10 @@ class HydrateOperator(Operator):
         instances: tuple[str, ...] | None = None,
         tracer: Tracer | None = None,
         block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
-        eager: bool = False,
         stats: ExecutionStats | None = None,
-        workers: int = 1,
     ) -> None:
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         super().__init__(child.schema, tracer)
         self._child = child
         self._annotations = annotations
@@ -444,9 +432,7 @@ class HydrateOperator(Operator):
         self.alias = alias
         self.instances = instances
         self.block_size = block_size
-        self.eager = eager
         self._stats = stats
-        self.workers = workers
 
     def rows(self) -> Iterator[AnnotatedTuple]:
         instances = self._catalog.instances_for_table(self.table)
@@ -458,9 +444,6 @@ class HydrateOperator(Operator):
                 # processing, no attachment bookkeeping either.
                 yield from self._child
                 return
-        if self.workers > 1:
-            yield from self._rows_parallel(instances)
-            return
         block: list[AnnotatedTuple] = []
         for row in self._child:
             block.append(row)
@@ -470,66 +453,6 @@ class HydrateOperator(Operator):
         if block:
             yield from self._emit_block(block, instances)
 
-    def _rows_parallel(
-        self, instances: Sequence["SummaryInstance"]
-    ) -> Iterator[AnnotatedTuple]:
-        """Pipelined fetch: workers hydrate blocks ahead of the consumer.
-
-        At most ``workers * 2`` blocks are in flight, bounding both
-        memory and the read-ahead past a downstream LIMIT (a few
-        wasted block fetches, never the whole table).  Emission order is
-        the FIFO submission order — results are byte-identical to the
-        serial path, whatever order the fetches complete in.
-        """
-        pending: deque[tuple[list[AnnotatedTuple], list[int], Future]] = deque()
-        max_pending = self.workers * 2
-        pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="hydrate"
-        )
-        try:
-            block: list[AnnotatedTuple] = []
-            for row in self._child:
-                block.append(row)
-                if len(block) >= self.block_size:
-                    row_ids = [self._row_id(r) for r in block]
-                    pending.append(
-                        (
-                            block,
-                            row_ids,
-                            pool.submit(self._fetch_block, row_ids, instances),
-                        )
-                    )
-                    block = []
-                    if len(pending) >= max_pending:
-                        yield from self._emit_fetched(
-                            *pending.popleft(), instances
-                        )
-            if block:
-                row_ids = [self._row_id(r) for r in block]
-                pending.append(
-                    (
-                        block,
-                        row_ids,
-                        pool.submit(self._fetch_block, row_ids, instances),
-                    )
-                )
-            while pending:
-                yield from self._emit_fetched(*pending.popleft(), instances)
-        finally:
-            # Also reached via GeneratorExit when a LIMIT stops consuming:
-            # drop queued blocks, let in-flight fetches finish harmlessly.
-            pool.shutdown(wait=False, cancel_futures=True)
-
-    def _emit_fetched(
-        self,
-        block: list[AnnotatedTuple],
-        row_ids: list[int],
-        future: Future,
-        instances: Sequence["SummaryInstance"],
-    ) -> Iterator[AnnotatedTuple]:
-        objects, attachment_maps = future.result()
-        yield from self._emit(block, row_ids, objects, attachment_maps, instances)
-
     def _row_id(self, row: AnnotatedTuple) -> int:
         for table, row_id in row.source_rows:
             if table == self.table:
@@ -538,15 +461,13 @@ class HydrateOperator(Operator):
             f"Hydrate({self.alias}): row has no {self.table!r} source"
         )
 
-    def _fetch_block(
+    def _emit_block(
         self,
-        row_ids: list[int],
+        block: list[AnnotatedTuple],
         instances: Sequence["SummaryInstance"],
-    ) -> tuple[
-        dict[tuple[str, int], SummaryObject],
-        dict[int, dict[int, frozenset[str]]],
-    ]:
-        """One block's two bulk reads — pure data, safe off-thread."""
+    ) -> Iterator[AnnotatedTuple]:
+        """Bulk-fetch one block's summaries and attachments, then emit."""
+        row_ids = [self._row_id(row) for row in block]
         names = [instance.name for instance in instances]
         if self._manager is not None:
             objects = self._manager.objects_for_rows(names, self.table, row_ids)
@@ -560,26 +481,6 @@ class HydrateOperator(Operator):
             attachment_maps = self._annotations.attachments_for_rows(
                 self.table, row_ids
             )
-        return objects, attachment_maps
-
-    def _emit_block(
-        self,
-        block: list[AnnotatedTuple],
-        instances: Sequence["SummaryInstance"],
-    ) -> Iterator[AnnotatedTuple]:
-        """Bulk-fetch one block's summaries and attachments, then emit."""
-        row_ids = [self._row_id(row) for row in block]
-        objects, attachment_maps = self._fetch_block(row_ids, instances)
-        yield from self._emit(block, row_ids, objects, attachment_maps, instances)
-
-    def _emit(
-        self,
-        block: list[AnnotatedTuple],
-        row_ids: list[int],
-        objects: dict[tuple[str, int], SummaryObject],
-        attachment_maps: dict[int, dict[int, frozenset[str]]],
-        instances: Sequence["SummaryInstance"],
-    ) -> Iterator[AnnotatedTuple]:
         stats = self._stats
         if stats is not None:
             stats.count_hydrated_block(len(block))
@@ -617,10 +518,6 @@ class HydrateOperator(Operator):
                 base = f"{base} [no summaries]"
             else:
                 base = f"{base} [summaries: {', '.join(self.instances)}]"
-        if self.eager:
-            base = f"{base} [eager]"
-        if self.workers > 1:
-            base = f"{base} [workers: {self.workers}]"
         return base
 
 

@@ -111,17 +111,13 @@ class Hydrate(PlanNode):
     Inserted by the planner above a scan's residual selection — *late
     materialization*: only rows that survive filtering (and a pushed
     LIMIT) pay the summary-deserialization tax.  ``table``/``alias``/
-    ``instances`` mirror the :class:`Scan` this node serves.  ``eager``
-    marks the pushdown-off configuration where hydration happens directly
-    above the scan (the pre-pushdown behaviour, kept for comparison
-    benchmarks and equivalence testing).
+    ``instances`` mirror the :class:`Scan` this node serves.
     """
 
     child: PlanNode
     table: str
     alias: str
     instances: tuple[str, ...] | None = None
-    eager: bool = False
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -133,8 +129,6 @@ class Hydrate(PlanNode):
                 base = f"{base} [no summaries]"
             else:
                 base = f"{base} [summaries: {', '.join(self.instances)}]"
-        if self.eager:
-            base = f"{base} [eager]"
         return base
 
 

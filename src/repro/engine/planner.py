@@ -79,9 +79,6 @@ class Planner:
         normalize: bool = True,
         push_selections: bool = True,
         scan_block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
-        pushdown: bool = True,
-        workers: int = 1,
-        cost_planner: bool = False,
         statistics: CatalogStatistics | None = None,
     ) -> None:
         self._db = database
@@ -90,27 +87,16 @@ class Planner:
         self._manager = manager
         self.normalize_plans = normalize
         self.push_selections = push_selections
-        #: Cost-driven rewrites (join order, hydrate placement, storage
-        #: aggregation).  Off by default here — the session turns it on —
-        #: so directly-constructed planners keep the rule-based behaviour.
-        self.cost_planner = cost_planner
+        #: Feeds the cost-driven rewrites (join order, hydrate placement,
+        #: storage aggregation); without statistics the cost model falls
+        #: back to its defaults.
         self._statistics = statistics
         self.counters = PlannerCounters()
-        #: Storage-level pushdown + lazy hydration.  When off, sargable
-        #: predicates stay in memory and every scanned row is hydrated
-        #: eagerly — the pre-pushdown engine, kept for comparison
-        #: benchmarks and equivalence testing.
-        self.pushdown = pushdown
         if scan_block_size < 1:
             raise ValueError(
                 f"scan_block_size must be >= 1, got {scan_block_size}"
             )
         self.scan_block_size = scan_block_size
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        #: Hydration fan-out: block fetches run on up to this many
-        #: pooled read connections (1 = today's serial pipeline).
-        self.workers = workers
 
     # -- schema inference ---------------------------------------------
 
@@ -716,40 +702,24 @@ class Planner:
     def insert_hydration(self, node: lp.PlanNode) -> lp.PlanNode:
         """Place Hydrate operators over every scan's surviving rows.
 
-        With pushdown on, each scan's pass-through chain (residual
-        selection, projections, limit, value-only sort) runs on plain
-        tuples and Hydrate sits at the chain's top — directly below the
-        first operator that consumes summaries (compute/join/group-by/
-        distinct/union/output) — so only surviving rows are hydrated.
-        With pushdown off, Hydrate sits eagerly above each scan,
-        reproducing the old hydrate-at-scan pipeline.
+        Each scan's pass-through chain (residual selection, projections,
+        limit, value-only sort) runs on plain tuples and Hydrate sits at
+        the chain's top — directly below the first operator that
+        consumes summaries (compute/join/group-by/distinct/union/output)
+        — so only surviving rows are hydrated.
         """
-        if not self.pushdown:
-            return self._hydrate_eager(node)
-        return self._hydrate_subtree(node)
-
-    def _hydrate_eager(self, node: lp.PlanNode) -> lp.PlanNode:
-        if isinstance(node, lp.Scan):
-            return self._wrap_hydrate(node, node, eager=True)
-        return _rebuild_with_children(
-            node, tuple(self._hydrate_eager(c) for c in node.children())
-        )
-
-    @staticmethod
-    def _wrap_hydrate(
-        node: lp.PlanNode, scan: lp.Scan, eager: bool = False
-    ) -> lp.PlanNode:
-        if scan.instances == ():
-            # WITH NO SUMMARIES: plain relational processing, nothing to
-            # hydrate (no attachment bookkeeping either).
-            return node
-        return lp.Hydrate(node, scan.table, scan.alias, scan.instances, eager)
-
-    def _hydrate_subtree(self, node: lp.PlanNode) -> lp.PlanNode:
         rewritten, scan = self._hydrate_chain(node)
         if scan is not None:
             return self._wrap_hydrate(rewritten, scan)
         return rewritten
+
+    @staticmethod
+    def _wrap_hydrate(node: lp.PlanNode, scan: lp.Scan) -> lp.PlanNode:
+        if scan.instances == ():
+            # WITH NO SUMMARIES: plain relational processing, nothing to
+            # hydrate (no attachment bookkeeping either).
+            return node
+        return lp.Hydrate(node, scan.table, scan.alias, scan.instances)
 
     def _hydrate_chain(
         self, node: lp.PlanNode
@@ -772,17 +742,13 @@ class Planner:
         ):
             child, scan = self._hydrate_chain(node.child)
             return lp.Sort(child, node.keys, node.descending), scan
-        if (
-            isinstance(node, lp.Select)
-            and self.cost_planner
-            and self.normalize_plans
-        ):
+        if isinstance(node, lp.Select) and self.normalize_plans:
             split = self._split_residual_select(node)
             if split is not None:
                 return split, None
         # Barrier (merge or summary-consuming node): hydrate each child
         # subtree at its own top.
-        children = tuple(self._hydrate_subtree(c) for c in node.children())
+        children = tuple(self.insert_hydration(c) for c in node.children())
         return _rebuild_with_children(node, children), None
 
     def _split_residual_select(self, node: lp.Select) -> lp.PlanNode | None:
@@ -837,20 +803,16 @@ class Planner:
         # Cost rewrites are gated on normalization: Theorems 1-2 make
         # the alternatives summary-equivalent only with project-out
         # before merge in force.
-        cost_rewrites = self.cost_planner and self.normalize_plans
-        if cost_rewrites:
-            node = self.reorder_joins(node)
         if self.normalize_plans:
+            node = self.reorder_joins(node)
             node = self.normalize(node)
-        if self.pushdown:
-            node = self.push_into_storage(node)
-            node = self.push_down_limits(node)
-            if cost_rewrites:
-                node = self.push_down_aggregates(node)
+        node = self.push_into_storage(node)
+        node = self.push_down_limits(node)
+        if self.normalize_plans:
+            node = self.push_down_aggregates(node)
         if hydrate:
             node = self.insert_hydration(node)
-        if self.cost_planner:
-            self.counters.record("plans_costed")
+        self.counters.record("plans_costed")
         return node
 
     def physical(
@@ -881,9 +843,7 @@ class Planner:
                 instances=node.instances,
                 tracer=tracer,
                 block_size=self.scan_block_size,
-                eager=node.eager,
                 stats=stats,
-                workers=self.workers,
             )
         if isinstance(node, lp.Select):
             return SelectOperator(
@@ -973,7 +933,7 @@ def _all_resolvable(columns: set[str], schema: tuple[str, ...]) -> bool:
     for name in columns:
         try:
             resolve_column(schema, name)
-        except Exception:
+        except ExpressionError:
             return False
     return True
 
@@ -1061,9 +1021,7 @@ def _rebuild_with_children(
     if isinstance(node, lp.Scan):
         return node
     if isinstance(node, lp.Hydrate):
-        return lp.Hydrate(
-            children[0], node.table, node.alias, node.instances, node.eager
-        )
+        return lp.Hydrate(children[0], node.table, node.alias, node.instances)
     if isinstance(node, lp.Select):
         return lp.Select(children[0], node.predicate)
     if isinstance(node, lp.Project):

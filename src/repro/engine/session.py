@@ -103,25 +103,6 @@ class InsightNotes:
         harness uses that as its "before" configuration.
     object_cache_size:
         Bound of the catalog's deserialization LRU (``0`` disables it).
-    pushdown:
-        Compile sargable predicates and LIMIT into the storage scan and
-        hydrate summaries lazily, block-wise, above the residual
-        selection (late materialization).  Disable to get the old
-        hydrate-everything-at-scan pipeline — the benchmarks' "before"
-        configuration; query results are identical either way.
-    workers:
-        Hydration fan-out: with ``workers=N`` (N > 1) each query's
-        block-wise summary/attachment fetches run on up to N threads,
-        each on its own pooled read connection, while row order and
-        results stay byte-identical.  The default ``1`` reproduces the
-        serial pipeline exactly.  Sessions are also safe to *share*
-        across threads: concurrent queries each get their own operator
-        tree, and every shared structure (caches, registries, counters)
-        is internally locked.
-    serialize_reads:
-        Force all reads through the lock-serialized writer connection
-        even for file-backed databases — the pre-pool topology, kept as
-        the concurrency benchmark's baseline (``serial``) mode.
     shards:
         Number of storage shards.  ``1`` (the default) is the original
         single-file layout, byte-identical to previous releases.
@@ -130,13 +111,16 @@ class InsightNotes:
         independently serialized writer — bulk ingest commits per-shard
         sub-batches concurrently and scans scatter-gather in global row
         order.  File-backed paths only; see DESIGN.md §11.
-    cost_planner:
-        Enable the cost-based planner: catalog statistics drive join
-        ordering, hydrate placement, and storage-side aggregation
-        pushdown (DESIGN.md §13).  Results are byte-identical either
-        way; disable to pin the rule-based plans — the plan benchmark's
-        baseline configuration.  Statistics seed themselves lazily and
-        refresh on demand via :meth:`analyze`.
+
+    Every query runs one pipeline: sargable predicates and LIMIT are
+    compiled into the storage scan, summaries are hydrated lazily above
+    the residual selection, and catalog statistics drive join ordering,
+    hydrate placement and storage-side aggregation (DESIGN.md §8, §13).
+    Statistics seed themselves lazily and refresh on demand via
+    :meth:`analyze`.  Sessions are safe to *share* across threads:
+    concurrent queries each get their own operator tree, and every
+    shared structure (caches, registries, counters) is internally
+    locked.
     """
 
     def __init__(
@@ -151,13 +135,9 @@ class InsightNotes:
         normalize: bool = True,
         scan_block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
         object_cache_size: int = DEFAULT_OBJECT_CACHE_SIZE,
-        pushdown: bool = True,
-        workers: int = 1,
-        serialize_reads: bool = False,
         shards: int = 1,
-        cost_planner: bool = True,
     ) -> None:
-        self.db = Database(path, serialize_reads=serialize_reads, shards=shards)
+        self.db = Database(path, shards=shards)
         self.annotations = AnnotationStore(self.db)
         self.catalog = SummaryCatalog(
             self.db, registry=registry, object_cache_size=object_cache_size
@@ -174,9 +154,6 @@ class InsightNotes:
             manager=self.manager,
             normalize=normalize,
             scan_block_size=scan_block_size,
-            pushdown=pushdown,
-            workers=workers,
-            cost_planner=cost_planner,
             statistics=self.stats_registry,
         )
         self.results = ResultRegistry()
@@ -564,14 +541,14 @@ class InsightNotes:
         """Execute one uncorrelated IN-subquery; returns its values.
 
         Only the single output column's values are consumed, so unless a
-        subquery expression actually reads summaries (or pushdown is off,
-        where the old eager pipeline is reproduced faithfully), the plan
-        skips hydration entirely.
+        subquery expression actually reads summaries, the plan skips
+        hydration entirely.
         """
         self._flatten_subqueries(sub_statement)
         logical = build_logical(sub_statement, self.planner)
-        hydrate = not self.planner.pushdown or plan_uses_summaries(logical)
-        prepared = self.planner.prepare(logical, hydrate=hydrate)
+        prepared = self.planner.prepare(
+            logical, hydrate=plan_uses_summaries(logical)
+        )
         operator = self.planner.physical(prepared)
         if len(operator.schema) != 1:
             from repro.errors import SQLSyntaxError
@@ -717,9 +694,6 @@ class InsightNotes:
         zoom-in cache behaviour.
         """
         contribution_stats = self.manager.contributions.stats
-        # Both cache implementations export the same stats_json schema;
-        # the legacy "zoomin_cache" key is derived from it below.
-        zoomin = self.cache.stats_json()
         return {
             "shards": self.db.shard_count,
             "shard_pools": self.db.backend.counters(),
@@ -740,19 +714,10 @@ class InsightNotes:
             },
             "queries_registered": len(self.results),
             "planner": {
-                "cost_planner": self.planner.cost_planner,
                 **self.planner.counters.to_json(),
                 "stats": self.stats_registry.freshness(),
             },
-            "zoomin": zoomin,
-            "zoomin_cache": {
-                "hits": zoomin["memory_hits"] + zoomin["disk_hits"],
-                "misses": zoomin["misses"],
-                "hit_ratio": zoomin["hit_ratio"],
-                "evictions": zoomin["memory_evictions"]
-                + zoomin["disk_evictions"],
-                "bytes_used": zoomin["tiers"]["memory"]["bytes_used"],
-                "capacity_bytes": zoomin["tiers"]["memory"]["capacity_bytes"],
-            },
+            # Both cache implementations export the same stats_json schema.
+            "zoomin": self.cache.stats_json(),
             "traces_retained": len(self.traces),
         }

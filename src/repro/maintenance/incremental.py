@@ -33,8 +33,9 @@ attachments LRU, stats, contribution memo): write paths hold it end to
 end — they are serialized anyway by the storage layer's single-writer
 lock — while the read paths (:meth:`objects_for_rows`,
 :meth:`attachments_for_rows`) probe the caches under the lock, run SQL
-with the lock *released*, and re-acquire it to fill, so parallel
-hydration workers never serialize on each other's fetches.
+with the lock *released*, and re-acquire it to fill, so concurrent
+queries never serialize on each other's fetches.  A fill skips rows a
+writer invalidated while the fetch was in flight.
 """
 
 from __future__ import annotations
@@ -155,6 +156,14 @@ class SummaryManager:
         self._attachments: OrderedDict[
             tuple[str, int], dict[int, frozenset[str]]
         ] = OrderedDict()
+        # Invalidation stamps that keep a read's fill from caching a map
+        # a concurrent write made stale: every invalidation ticks the
+        # clock and stamps its row; a fill is refused for rows stamped
+        # after the reader's snapshot, or when the snapshot predates the
+        # floor (the last time the bounded stamp table was cleared).
+        self._invalidation_clock = 0
+        self._invalidation_floor = 0
+        self._invalidated_at: dict[tuple[str, int], int] = {}
 
     # -- object cache ---------------------------------------------------
 
@@ -223,23 +232,8 @@ class SummaryManager:
     def attachments_for_row(
         self, table: str, row_id: int
     ) -> dict[int, frozenset[str]]:
-        """Cached annotation-to-columns map for one base row.
-
-        The scan operator asks for this once per row per query; caching it
-        here keeps repeated querying off SQLite for rows whose annotations
-        have not changed.  Invalidated by every write-path entry point.
-        """
-        key = (table, row_id)
-        with self._lock:
-            cached = self._attachments.get(key)
-            if cached is not None:
-                self._attachments.move_to_end(key)
-                return cached
-        attachments = self._annotations.attachments_for_row(table, row_id)
-        with self._lock:
-            self._attachments[key] = attachments
-            self._evict_attachments_if_needed()
-        return attachments
+        """Cached annotation-to-columns map for one base row."""
+        return self.attachments_for_rows(table, (row_id,))[row_id]
 
     def attachments_for_rows(
         self, table: str, row_ids: Iterable[int]
@@ -249,10 +243,16 @@ class SummaryManager:
         Rows already in the attachments LRU are served from memory; the
         misses go to the store in one bulk round-trip and are cached on
         the way out (including empty maps — absence is worth caching).
+
+        The fetch runs with the lock released, so a writer may invalidate
+        a row between fetch and fill.  Such a row's map is still returned
+        (it was current when read) but not cached: the invalidation stamp
+        taken before the fetch tells the fill which rows moved.
         """
         result: dict[int, dict[int, frozenset[str]]] = {}
         missing: list[int] = []
         with self._lock:
+            snapshot = self._invalidation_clock
             for row_id in row_ids:
                 key = (table, row_id)
                 cached = self._attachments.get(key)
@@ -264,8 +264,11 @@ class SummaryManager:
         if missing:
             fetched = self._annotations.attachments_for_rows(table, missing)
             with self._lock:
+                fresh = snapshot >= self._invalidation_floor
                 for row_id, attachments in fetched.items():
-                    self._attachments[(table, row_id)] = attachments
+                    key = (table, row_id)
+                    if fresh and self._invalidated_at.get(key, 0) <= snapshot:
+                        self._attachments[key] = attachments
                     result[row_id] = attachments
                 self._evict_attachments_if_needed()
         return result
@@ -275,7 +278,15 @@ class SummaryManager:
             self._attachments.popitem(last=False)
 
     def _invalidate_attachments(self, table: str, row_id: int) -> None:
-        self._attachments.pop((table, row_id), None)
+        key = (table, row_id)
+        self._attachments.pop(key, None)
+        self._invalidation_clock += 1
+        if len(self._invalidated_at) >= self._attachments_cache_size:
+            # Bound the stamps: forget them all and refuse every fill
+            # whose snapshot predates the forgetting.
+            self._invalidated_at.clear()
+            self._invalidation_floor = self._invalidation_clock
+        self._invalidated_at[key] = self._invalidation_clock
 
     # -- write path -------------------------------------------------------
 

@@ -99,12 +99,8 @@ class StorageBackend(Protocol):
 
     @property
     def is_in_memory(self) -> bool:
-        """True when the database lives in RAM (no durable file)."""
-        ...
-
-    @property
-    def serialized_reads(self) -> bool:
-        """True when reads share the writer connection (in-memory DBs)."""
+        """True when the database lives in RAM (no durable file); its
+        reads then share the lock-serialized writer connection."""
         ...
 
     @property
@@ -170,8 +166,7 @@ class SingleFileBackend:
     everything to shard 0.
     """
 
-    def __init__(self, path: str = ":memory:", serialize_reads: bool = False
-                 ) -> None:
+    def __init__(self, path: str = ":memory:") -> None:
         self.path = path
         # check_same_thread=False (the pool factory's default): the
         # writer is shared across threads but every use is serialized
@@ -184,7 +179,6 @@ class SingleFileBackend:
             in_memory=self.is_in_memory,
             writer=self._writer,
             configure_reader=tune_reader,
-            serialize_reads=serialize_reads,
         )
 
     # -- introspection --------------------------------------------------
@@ -196,10 +190,6 @@ class SingleFileBackend:
     @property
     def is_in_memory(self) -> bool:
         return is_memory_path(self.path)
-
-    @property
-    def serialized_reads(self) -> bool:
-        return self._pool.serialized_reads
 
     @property
     def closed(self) -> bool:

@@ -140,10 +140,6 @@ class Database:
     path:
         SQLite database path; the default ``":memory:"`` keeps everything
         in RAM, which the tests and benchmarks use.
-    serialize_reads:
-        Force all reads through the lock-serialized writer connection
-        even for file-backed databases — the pre-pool topology, kept as
-        the concurrency benchmark's baseline mode.
     shards:
         Number of storage shards.  ``1`` (the default) is the original
         single-file engine, byte-identical to before the backend split;
@@ -151,27 +147,22 @@ class Database:
         paths only — see DESIGN.md §11).
     backend:
         An explicit :class:`~repro.storage.backend.StorageBackend`,
-        overriding ``path`` / ``serialize_reads`` / ``shards`` (tests
-        and embedders plugging in their own topology).
+        overriding ``path`` / ``shards`` (tests and embedders plugging
+        in their own topology).
     """
 
     def __init__(
         self,
         path: str = ":memory:",
-        serialize_reads: bool = False,
         shards: int = 1,
         backend: StorageBackend | None = None,
     ) -> None:
         if backend is not None:
             self._backend: StorageBackend = backend
         elif shards == 1:
-            self._backend = SingleFileBackend(
-                path, serialize_reads=serialize_reads
-            )
+            self._backend = SingleFileBackend(path)
         elif shards >= 2:
-            self._backend = ShardedBackend(
-                path, shards, serialize_reads=serialize_reads
-            )
+            self._backend = ShardedBackend(path, shards)
         else:
             raise StorageError(f"shards must be >= 1, got {shards}")
         self.path = self._backend.path
@@ -659,7 +650,7 @@ class Database:
             bound += (limit,)
         if self._backend.shard_count > 1:
             return self._scan_sharded(sql, bound, limit, on_row_shard)
-        if self._backend.serialized_reads:
+        if self._backend.is_in_memory:
             return self._scan_serialized(sql, bound)
         return self._scan_streaming(sql, bound)
 
@@ -769,9 +760,8 @@ class Database:
         """One shard's half of a scatter-gather scan.
 
         Batches are fetched inside read-checkout windows and handed off
-        outside them — under ``serialize_reads`` a checkout holds the
-        shard's write lock, and blocking on a full queue while holding
-        it could deadlock against a consumer that needs the same shard.
+        outside them, so no checkout is ever held while blocking on a
+        full queue.
         """
         try:
             with self._backend.read(shard) as connection:

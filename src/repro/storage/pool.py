@@ -66,10 +66,6 @@ class ConnectionPool:
     configure_reader:
         Applied to every new read connection before it is switched to
         ``query_only`` — the place for page-cache and temp-store tuning.
-    serialize_reads:
-        Force the in-memory behaviour (all reads on the writer, under
-        the write lock) even for file-backed databases.  This is the
-        pre-pool engine's topology, kept as the benchmark baseline.
     """
 
     def __init__(
@@ -78,11 +74,9 @@ class ConnectionPool:
         in_memory: bool,
         writer: sqlite3.Connection,
         configure_reader: Callable[[sqlite3.Connection], None] | None = None,
-        serialize_reads: bool = False,
     ) -> None:
         self._path = path
         self._in_memory = in_memory
-        self._serialize_reads = in_memory or serialize_reads
         self._writer = writer
         self._configure_reader = configure_reader
         self._write_lock = make_rlock("pool.write", guards_io=True)
@@ -110,7 +104,7 @@ class ConnectionPool:
     @property
     def serialized_reads(self) -> bool:
         """True when reads share the writer connection (in-memory DBs)."""
-        return self._serialize_reads
+        return self._in_memory
 
     @property
     def reader_count(self) -> int:
@@ -161,7 +155,7 @@ class ConnectionPool:
         self._check_open()
         with self._stats_lock:
             self._read_checkouts += 1
-        if self._serialize_reads:
+        if self._in_memory:
             with self._write_lock:
                 self._check_open()
                 yield self._writer

@@ -75,14 +75,9 @@ class ShardedBackend:
     shards:
         Number of shards (>= 2; ``shards=1`` is
         :class:`~repro.storage.backend.SingleFileBackend`'s job).
-    serialize_reads:
-        Force each shard's reads through its lock-serialized writer
-        connection (the benchmark baseline topology, per shard).
     """
 
-    def __init__(
-        self, path: str, shards: int, serialize_reads: bool = False
-    ) -> None:
+    def __init__(self, path: str, shards: int) -> None:
         if shards < 2:
             raise StorageError(
                 f"ShardedBackend needs at least 2 shards, got {shards} — "
@@ -108,7 +103,6 @@ class ShardedBackend:
                     in_memory=False,
                     writer=writer,
                     configure_reader=tune_reader,
-                    serialize_reads=serialize_reads,
                 )
             )
         # Scan producers (one per shard per in-flight scatter-gather
@@ -131,10 +125,6 @@ class ShardedBackend:
     @property
     def is_in_memory(self) -> bool:
         return False
-
-    @property
-    def serialized_reads(self) -> bool:
-        return self._pools[0].serialized_reads
 
     @property
     def closed(self) -> bool:

@@ -6,10 +6,6 @@ command's predicate, locates the addressed summary component on each
 matching tuple, and fetches the component's raw annotations from the
 annotation store — the only point in the whole pipeline where raw
 annotation text is read back.
-
-A configurable ``miss_penalty`` models the recomputation cost of a cache
-miss (re-running the query in the real system); the EXP-Z1 benchmark uses
-it to translate hit ratios into latency.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ deserialization (object) cache and, for ZOOMIN, the RCO result cache.
 Downstream operators mutate per-query rows in place (projection narrows
 attachments and calls ``remove_annotations``; computation rewrites
 values).  The copy-on-write ``for_query`` boundary must keep those
-mutations out of every shared object; these tests pin that invariant in
-both pushdown modes, since the two place the mutation at different plan
-positions (above Hydrate vs. above the eager scan).
+mutations out of every shared object; these tests pin that invariant
+for both places hydration shares objects from: the maintenance layer's
+write cache (objects just folded) and the catalog's deserialization LRU
+(objects read back from storage once the write cache is dropped).
 """
 
 import json
@@ -35,8 +36,8 @@ MUTATING_SQL = [
 ]
 
 
-def build_session(pushdown: bool) -> InsightNotes:
-    notes = InsightNotes(pushdown=pushdown)
+def build_session(write_cache: bool) -> InsightNotes:
+    notes = InsightNotes()
     notes.create_table("birds", ["name", "species", "weight"])
     notes.insert("birds", ("Swan Goose", "Anser cygnoides", 3.2))
     notes.insert("birds", ("Mute Swan", "Cygnus olor", 10.5))
@@ -50,6 +51,8 @@ def build_session(pushdown: bool) -> InsightNotes:
                          table="birds", row_id=1, columns=["weight"])
     notes.add_annotation("seen foraging among pond weeds",
                          table="birds", row_id=2, columns=["name"])
+    if not write_cache:
+        notes.manager.drop_caches()
     return notes
 
 
@@ -71,10 +74,10 @@ def fingerprint(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-@pytest.mark.parametrize("pushdown", [True, False])
+@pytest.mark.parametrize("write_cache", [True, False])
 class TestObjectCacheAliasing:
-    def test_projecting_queries_do_not_corrupt_cached_objects(self, pushdown):
-        notes = build_session(pushdown)
+    def test_projecting_queries_do_not_corrupt_cached_objects(self, write_cache):
+        notes = build_session(write_cache)
         try:
             before = fingerprint(notes.query(FULL_SQL))
             for sql in MUTATING_SQL:
@@ -84,10 +87,10 @@ class TestObjectCacheAliasing:
         finally:
             notes.close()
 
-    def test_registered_results_survive_later_queries(self, pushdown):
+    def test_registered_results_survive_later_queries(self, write_cache):
         # The result registry keeps live tuples for ZOOMIN recompute;
         # their summary objects must not alias later queries' copies.
-        notes = build_session(pushdown)
+        notes = build_session(write_cache)
         try:
             held = notes.query(FULL_SQL)
             before = fingerprint(held)
@@ -97,8 +100,8 @@ class TestObjectCacheAliasing:
         finally:
             notes.close()
 
-    def test_zoomin_stable_across_projecting_queries(self, pushdown):
-        notes = build_session(pushdown)
+    def test_zoomin_stable_across_projecting_queries(self, write_cache):
+        notes = build_session(write_cache)
         try:
             result = notes.query(FULL_SQL)
             command = (

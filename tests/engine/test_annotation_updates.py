@@ -96,7 +96,7 @@ class TestStatistics:
         assert stats["summary_links"] == 2
         assert stats["queries_registered"] == 1
         assert stats["maintenance"]["annotations_processed"] == 1
-        assert 0.0 <= stats["zoomin_cache"]["hit_ratio"] <= 1.0
+        assert 0.0 <= stats["zoomin"]["hit_ratio"] <= 1.0
 
     def test_counters_move_with_activity(self, stack):
         before = stack.statistics()
@@ -105,4 +105,4 @@ class TestStatistics:
         stack.zoomin(f"ZOOMIN REFERENCE QID = {result.qid} ON C")
         after = stack.statistics()
         assert after["annotations"] == before["annotations"] + 1
-        assert after["zoomin_cache"]["hits"] == before["zoomin_cache"]["hits"] + 1
+        assert after["zoomin"]["memory_hits"] == before["zoomin"]["memory_hits"] + 1

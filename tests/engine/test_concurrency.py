@@ -1,6 +1,6 @@
-"""Concurrent read path: stress and equivalence coverage.
+"""Concurrent read path: stress coverage.
 
-Three guarantees, in increasing strength:
+Two guarantees:
 
 1. **No corruption under load** — N reader threads running mixed
    pushdown/summary queries through one shared session, racing a writer
@@ -11,19 +11,12 @@ Three guarantees, in increasing strength:
 2. **Cache sanity** — the shared deserialization LRU must actually serve
    hits under concurrent traffic (locks that silently bypass the cache
    would pass test 1).
-3. **Parallel hydration equivalence** — a ``workers=4`` session returns
-   byte-for-byte what ``workers=1`` returns, for hypothesis-generated
-   predicates and limits.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-
-import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro import InsightNotes
 
@@ -92,7 +85,7 @@ _QUERIES = [
 
 class TestStress:
     def test_readers_race_writer_without_corruption(self, tmp_path):
-        notes = _build_session(str(tmp_path / "stress.db"), workers=2)
+        notes = _build_session(str(tmp_path / "stress.db"))
         try:
             # Serial replay first: the expected answer for every query.
             expected = [fingerprint(notes.query(sql)) for sql in _QUERIES]
@@ -179,67 +172,3 @@ class TestStress:
             assert hits > misses
         finally:
             notes.close()
-
-
-# -- parallel hydration equivalence (hypothesis) ------------------------
-
-_comparisons = st.builds(
-    lambda column, op, value: f"{column} {op} {value}",
-    st.sampled_from(["weight"]),
-    st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
-    st.sampled_from(["0", "7.0", "14", "21.5", "39"]),
-)
-_species = st.builds(
-    lambda values: f"species IN ({', '.join(values)})",
-    st.lists(
-        st.sampled_from(["'species0'", "'species3'", "'species6'", "''"]),
-        min_size=1,
-        max_size=3,
-        unique=True,
-    ),
-)
-_summary = st.builds(
-    lambda op, n: f"SUMMARY_COUNT('BirdClass', 'Behavior') {op} {n}",
-    st.sampled_from(["=", ">=", "<"]),
-    st.integers(min_value=0, max_value=2),
-)
-_predicates = st.one_of(_comparisons, _species, _summary)
-
-
-@pytest.fixture(scope="module")
-def worker_sessions(tmp_path_factory):
-    root = tmp_path_factory.mktemp("workers")
-    serial = _build_session(str(root / "serial.db"), workers=1)
-    parallel = _build_session(
-        str(root / "parallel.db"), workers=4, scan_block_size=16
-    )
-    yield serial, parallel
-    serial.close()
-    parallel.close()
-
-
-class TestParallelHydrationEquivalence:
-    @settings(
-        max_examples=40,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        predicate=_predicates,
-        limit=st.one_of(st.none(), st.integers(min_value=0, max_value=60)),
-    )
-    def test_workers4_equals_workers1(self, worker_sessions, predicate, limit):
-        serial, parallel = worker_sessions
-        sql = f"SELECT name, species, weight FROM birds WHERE {predicate}"
-        if limit is not None:
-            sql += f" LIMIT {limit}"
-        assert fingerprint(parallel.query(sql)) == fingerprint(
-            serial.query(sql)
-        )
-
-    def test_multi_block_scan_is_identical(self, worker_sessions):
-        serial, parallel = worker_sessions
-        sql = "SELECT name, species, weight FROM birds"
-        assert fingerprint(parallel.query(sql)) == fingerprint(
-            serial.query(sql)
-        )

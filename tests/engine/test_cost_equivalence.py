@@ -1,20 +1,20 @@
-"""Property test: cost-based plans answer exactly like rule-based plans.
+"""Property test: cost-based plans answer exactly like the rule plans.
 
 The cost planner's contract is that it is *purely* a performance
-optimization: for any query, the session with ``cost_planner=True``
-must produce exactly the result of the rule-based session — same value
-rows, same summary objects (down to their contributing annotation
-ids), same attachments, same provenance.  Plan rewrites may change the
-*order* rows stream out of a join, so results are compared as
-canonical sorted fingerprints, the ``test_plan_equivalence``
-discipline.
+optimization: for any query, the session must produce what the rule
+plan — the normalized logical plan with no cost or storage rewrites —
+produces under raw annotation propagation (:mod:`tests.raw_oracle`):
+the same value rows, the same annotation ids per row, and summaries
+covering exactly those annotations.  Plan rewrites may change the
+*order* rows stream out of a join, so rows are compared sorted, the
+``test_plan_equivalence`` discipline.
 
 Hypothesis draws queries from a grammar covering every rewrite the
 cost planner performs — multi-way joins in adversarial FROM orders,
 aggregations and DISTINCT over pushable and non-pushable tables, and
 mixed value/summary residual predicates (the hydrate-split shape) —
-against paired sessions carrying all five summary types, at one shard
-and at four.
+against a session carrying all five summary types, at one shard and at
+four.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from repro import InsightNotes
 from repro.summaries.registry import extended_registry
 from tests.conftest import TRAINING
+from tests.raw_oracle import RawOracle
 
 _TYPES = [
     ("Classifier", {"labels": ["Behavior", "Disease"]}),
@@ -45,98 +46,50 @@ _TEXTS = [
 ]
 
 
-def _build_pair(path_prefix: str | None, shards: int):
-    """Identically-populated (rule, cost) sessions."""
-    sessions = []
-    for mode, cost in (("rule", False), ("cost", True)):
-        path = (
-            ":memory:" if path_prefix is None
-            else f"{path_prefix}-{mode}.db"
+def _build_session(path: str, shards: int) -> InsightNotes:
+    notes = InsightNotes(path, registry=extended_registry(), shards=shards)
+    notes.create_table("birds", ["name", "species", "weight", "cutoff"])
+    notes.create_table("sightings", ["observer", "species", "count"])
+    notes.create_table("regions", ["species", "zone"])
+    bird_ids = notes.insert_many(
+        "birds",
+        [(f"b{i}", f"sp{i % 4}", (i * 7) % 10, 5) for i in range(12)],
+    )
+    sighting_ids = notes.insert_many(
+        "sightings",
+        [(f"obs{i % 3}", f"sp{i % 4}", (i * 3) % 8) for i in range(16)],
+    )
+    notes.insert_many("regions", [(f"sp{i}", f"z{i % 2}") for i in range(4)])
+    for type_name, config in _TYPES:
+        name = f"{type_name}Eq"
+        instance = notes.catalog.define_instance(type_name, name, dict(config))
+        if type_name == "Classifier":
+            instance.train(list(TRAINING))
+            notes.catalog.save_instance_config(name)
+        notes.link(name, "birds")
+        notes.link(name, "sightings")
+    specs = []
+    for i, row_id in enumerate(bird_ids):
+        specs.append(
+            {
+                "text": _TEXTS[i % len(_TEXTS)],
+                "table": "birds",
+                "row_id": row_id,
+                "created_at": float(60 * i),
+            }
         )
-        notes = InsightNotes(
-            path,
-            registry=extended_registry(),
-            shards=shards,
-            cost_planner=cost,
+    for i, row_id in enumerate(sighting_ids[::2]):
+        specs.append(
+            {
+                "text": _TEXTS[(i + 1) % len(_TEXTS)],
+                "table": "sightings",
+                "row_id": row_id,
+                "created_at": float(90 * i),
+            }
         )
-        notes.create_table(
-            "birds", ["name", "species", "weight", "cutoff"]
-        )
-        notes.create_table("sightings", ["observer", "species", "count"])
-        notes.create_table("regions", ["species", "zone"])
-        bird_ids = notes.insert_many(
-            "birds",
-            [
-                (f"b{i}", f"sp{i % 4}", (i * 7) % 10, 5)
-                for i in range(12)
-            ],
-        )
-        sighting_ids = notes.insert_many(
-            "sightings",
-            [
-                (f"obs{i % 3}", f"sp{i % 4}", (i * 3) % 8)
-                for i in range(16)
-            ],
-        )
-        notes.insert_many(
-            "regions", [(f"sp{i}", f"z{i % 2}") for i in range(4)]
-        )
-        for type_name, config in _TYPES:
-            name = f"{type_name}Eq"
-            instance = notes.catalog.define_instance(
-                type_name, name, dict(config)
-            )
-            if type_name == "Classifier":
-                instance.train(list(TRAINING))
-                notes.catalog.save_instance_config(name)
-            notes.link(name, "birds")
-            notes.link(name, "sightings")
-        specs = []
-        for i, row_id in enumerate(bird_ids):
-            specs.append(
-                {
-                    "text": _TEXTS[i % len(_TEXTS)],
-                    "table": "birds",
-                    "row_id": row_id,
-                    "created_at": float(60 * i),
-                }
-            )
-        for i, row_id in enumerate(sighting_ids[::2]):
-            specs.append(
-                {
-                    "text": _TEXTS[(i + 1) % len(_TEXTS)],
-                    "table": "sightings",
-                    "row_id": row_id,
-                    "created_at": float(90 * i),
-                }
-            )
-        notes.add_annotations(specs)
-        notes.analyze()
-        sessions.append(notes)
-    return tuple(sessions)
-
-
-def fingerprint(result):
-    """Order-insensitive canonical content of a result, summaries deep."""
-    rows = []
-    for row in result.tuples:
-        summaries = tuple(
-            (name, tuple(sorted(obj.annotation_ids())))
-            for name, obj in sorted(row.summaries.items())
-        )
-        attachments = tuple(
-            (annotation_id, tuple(sorted(columns)))
-            for annotation_id, columns in sorted(row.attachments.items())
-        )
-        rows.append(
-            (
-                row.values,
-                summaries,
-                attachments,
-                tuple(sorted(row.source_rows)),
-            )
-        )
-    return (result.columns, tuple(sorted(rows, key=repr)))
+    notes.add_annotations(specs)
+    notes.analyze()
+    return notes
 
 
 # -- query grammar ------------------------------------------------------
@@ -215,33 +168,27 @@ _SETTINGS = settings(
 class TestCostEquivalenceSingleShard:
     @pytest.fixture(scope="class")
     def pair(self):
-        rule, cost = _build_pair(None, shards=1)
-        yield rule, cost
-        rule.close()
-        cost.close()
+        notes = _build_session(":memory:", shards=1)
+        yield notes, RawOracle(notes)
+        notes.close()
 
     @given(sql=queries())
     @_SETTINGS
     def test_cost_plans_match_rule_plans(self, pair, sql):
-        rule, cost = pair
-        assert fingerprint(cost.query(sql)) == fingerprint(
-            rule.query(sql)
-        )
+        notes, oracle = pair
+        oracle.check(notes.query(sql), sql, ordered=False)
 
 
 class TestCostEquivalenceSharded:
     @pytest.fixture(scope="class")
     def pair(self):
         with tempfile.TemporaryDirectory() as tmp:
-            rule, cost = _build_pair(f"{tmp}/eq", shards=4)
-            yield rule, cost
-            rule.close()
-            cost.close()
+            notes = _build_session(f"{tmp}/eq.db", shards=4)
+            yield notes, RawOracle(notes)
+            notes.close()
 
     @given(sql=queries())
     @_SETTINGS
     def test_cost_plans_match_rule_plans(self, pair, sql):
-        rule, cost = pair
-        assert fingerprint(cost.query(sql)) == fingerprint(
-            rule.query(sql)
-        )
+        notes, oracle = pair
+        oracle.check(notes.query(sql), sql, ordered=False)

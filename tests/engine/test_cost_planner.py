@@ -8,8 +8,8 @@ Covers the tentpole surfaces of DESIGN.md §13:
 * the cost model — stats-driven cardinality estimates and the relative
   ordering that drives rewrites;
 * the rewrites — join ordering, storage-side aggregation pushdown (and
-  its safety gates), and hydrate placement — each pinned to produce
-  byte-identical results to the rule-based plans;
+  its safety gates), and hydrate placement — each pinned to answer like
+  the un-rewritten plan under raw propagation (:mod:`tests.raw_oracle`);
 * EXPLAIN — the costed text rendering and its ``to_json`` form;
 * staleness — plans stay valid when ``planner_stats`` is empty, stale,
   or describes tables that no longer exist.
@@ -22,11 +22,12 @@ from repro.engine.cost import CostModel, PlannerCounters, TableStats
 from repro.engine.explain import Explanation
 from repro.engine.session import InsightNotes
 from repro.storage.planner_stats import PlannerStatsStore
+from tests.raw_oracle import RawOracle
 
 
-def make_star_session(cost_planner: bool = True) -> InsightNotes:
+def make_star_session() -> InsightNotes:
     """Two dimensions and a fact table, dimensions annotated."""
-    notes = InsightNotes(cost_planner=cost_planner)
+    notes = InsightNotes()
     notes.create_table("suppliers", ["sname", "region"])
     notes.create_table("parts", ["pname", "kind"])
     notes.create_table("orders", ["supplier", "part", "qty"])
@@ -204,11 +205,8 @@ class TestJoinReorder:
                 after["join_orders_rewritten"]
                 > before["join_orders_rewritten"]
             )
-            with make_star_session(cost_planner=False) as rule:
-                # Join order changes emission order, never content.
-                assert sorted(result.rows()) == sorted(
-                    rule.query(logical_sql).rows()
-                )
+            # Join order changes emission order, never content.
+            RawOracle(notes).check(result, logical_sql, ordered=False)
 
     def test_reorder_preserves_output_schema(self):
         with make_star_session() as notes:
@@ -220,17 +218,13 @@ class TestJoinReorder:
             "SELECT s.sname, o.qty FROM suppliers s "
             "LEFT JOIN orders o ON s.sname = o.supplier"
         )
-        with make_star_session() as notes, make_star_session(
-            cost_planner=False
-        ) as rule:
-            assert sorted(notes.query(sql).rows()) == sorted(
-                rule.query(sql).rows()
-            )
+        with make_star_session() as notes:
+            RawOracle(notes).check(notes.query(sql), sql, ordered=False)
 
 
 class TestAggregatePushdown:
-    def build(self, cost_planner: bool = True) -> InsightNotes:
-        notes = InsightNotes(cost_planner=cost_planner)
+    def build(self) -> InsightNotes:
+        notes = InsightNotes()
         notes.create_table("readings", ["region", "value"])
         notes.insert_many(
             "readings", [(f"r{i % 4}", i * 3 % 50) for i in range(40)]
@@ -247,16 +241,15 @@ class TestAggregatePushdown:
             explanation = notes.explain(sql)
             nodes = find_nodes(explanation.plan, lp.StorageAggregate)
             assert len(nodes) == 1 and not nodes[0].distinct
-            with self.build(cost_planner=False) as rule:
-                assert notes.query(sql).rows() == rule.query(sql).rows()
+            RawOracle(notes).check(notes.query(sql), sql)
 
     def test_group_by_with_having(self):
         sql = (
             "SELECT region, count(*) FROM readings "
             "GROUP BY region HAVING count(*) > 8"
         )
-        with self.build() as notes, self.build(cost_planner=False) as rule:
-            assert notes.query(sql).rows() == rule.query(sql).rows()
+        with self.build() as notes:
+            RawOracle(notes).check(notes.query(sql), sql)
 
     def test_global_aggregate_on_empty_table(self):
         with InsightNotes() as notes:
@@ -267,22 +260,17 @@ class TestAggregatePushdown:
 
     def test_distinct_lowers_to_storage(self):
         with self.build() as notes:
-            explanation = notes.explain("SELECT DISTINCT region FROM readings")
-            nodes = find_nodes(explanation.plan, lp.StorageAggregate)
+            sql = "SELECT DISTINCT region FROM readings"
+            nodes = find_nodes(notes.explain(sql).plan, lp.StorageAggregate)
             assert len(nodes) == 1 and nodes[0].distinct
-            result = notes.query("SELECT DISTINCT region FROM readings")
-            with self.build(cost_planner=False) as rule:
-                assert (
-                    result.rows()
-                    == rule.query("SELECT DISTINCT region FROM readings").rows()
-                )
+            RawOracle(notes).check(notes.query(sql), sql)
 
     def test_pushdown_keeps_first_seen_group_order(self):
-        with self.build() as notes, self.build(cost_planner=False) as rule:
+        with self.build() as notes:
             sql = "SELECT region, count(*) FROM readings GROUP BY region"
             # Order, not just content: GroupByOperator emits groups in
             # first-seen order and the storage path must reproduce it.
-            assert notes.query(sql).rows() == rule.query(sql).rows()
+            RawOracle(notes).check(notes.query(sql), sql)
 
     def test_annotated_table_is_not_lowered(self):
         with make_star_session() as notes:
@@ -323,8 +311,8 @@ class TestAggregatePushdown:
 
 
 class TestHydratePlacement:
-    def build(self, cost_planner: bool = True) -> InsightNotes:
-        notes = InsightNotes(cost_planner=cost_planner, object_cache_size=0)
+    def build(self) -> InsightNotes:
+        notes = InsightNotes(object_cache_size=0)
         notes.create_table("obs", ["value", "cutoff"])
         ids = notes.insert_many("obs", [(i, 4) for i in range(30)])
         notes.define_classifier(
@@ -350,12 +338,11 @@ class TestHydratePlacement:
     )
 
     def test_split_hydrates_only_surviving_rows(self):
-        with self.build() as notes, self.build(cost_planner=False) as rule:
-            cost_result = notes.query(self.SQL)
-            rule_result = rule.query(self.SQL)
-            assert cost_result.rows() == rule_result.rows()
-            assert cost_result.stats.rows_hydrated == 4
-            assert rule_result.stats.rows_hydrated == 30
+        with self.build() as notes:
+            result = notes.query(self.SQL)
+            assert len(result.rows()) == 4
+            assert result.stats.rows_scanned == 30
+            assert result.stats.rows_hydrated == 4
             assert (
                 notes.planner.counters.to_json()[
                     "hydrate_placements_flipped"
@@ -364,19 +351,10 @@ class TestHydratePlacement:
             )
 
     def test_summaries_identical_after_split(self):
-        with self.build() as notes, self.build(cost_planner=False) as rule:
-            cost_result = notes.query(self.SQL)
-            rule_result = rule.query(self.SQL)
-            for ours, theirs in zip(
-                cost_result.tuples, rule_result.tuples
-            ):
-                assert ours.values == theirs.values
-                assert set(ours.summaries) == set(theirs.summaries)
-                for name in ours.summaries:
-                    assert (
-                        ours.summaries[name].annotation_ids()
-                        == theirs.summaries[name].annotation_ids()
-                    )
+        with self.build() as notes:
+            result = notes.query(self.SQL)
+            assert set(result.tuples[0].summaries) == {"ObsClass"}
+            RawOracle(notes).check(result, self.SQL)
 
 
 class TestExplain:
@@ -461,11 +439,3 @@ class TestStaleness:
                 "ghost", {"row_count": 1e9}
             )
             assert reopened.query("SELECT v FROM t").rows() == [(1,)]
-
-    def test_cost_planner_off_keeps_counters_quiet(self):
-        with make_star_session(cost_planner=False) as notes:
-            notes.query(STAR_SQL)
-            counters = notes.statistics()["planner"]
-            assert counters["cost_planner"] is False
-            assert counters["plans_costed"] == 0
-            assert counters["join_orders_considered"] == 0

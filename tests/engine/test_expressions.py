@@ -53,6 +53,20 @@ class TestResolveColumn:
         with pytest.raises(ExpressionError):
             resolve_column(("sum(r.b)",), "avg(b)")
 
+    def test_cache_is_bounded(self):
+        # A long-running server sees unboundedly many distinct aliases.
+        maxsize = resolve_column.cache_info().maxsize
+        for i in range(maxsize + 100):
+            assert resolve_column((f"t{i}.a", f"t{i}.b"), "b") == 1
+        assert resolve_column.cache_info().currsize <= maxsize
+
+    def test_errors_are_not_cached(self):
+        schema = ("q.never_cached",)
+        for _ in range(2):
+            with pytest.raises(ExpressionError):
+                resolve_column(schema, "zz")
+        assert resolve_column(schema, "never_cached") == 0
+
 
 class TestEvaluation:
     def test_literal(self):

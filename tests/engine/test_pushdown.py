@@ -7,8 +7,6 @@ and end-to-end execution — counters on the query result, storage
 statement budgets, and the values-only subquery fast path.
 """
 
-import json
-
 import pytest
 
 from repro import InsightNotes
@@ -28,6 +26,7 @@ from repro.engine.expressions import (
 from repro.engine.operators import HydrateOperator, ScanOperator
 from repro.engine.pushdown import StorageFilter, compile_conjuncts
 from repro.engine.sqlparser import build_logical, parse_sql
+from tests.raw_oracle import RawOracle
 
 SCHEMA = ("birds.name", "birds.species", "birds.weight")
 COLUMNS = ("name", "species", "weight")
@@ -251,27 +250,6 @@ class TestPlanShapes:
         assert scan.storage_filter.sql.count("?") == 4
         assert nodes_of(plan, lp.Select) == []
 
-    def test_pushdown_off_reproduces_eager_pipeline(self):
-        notes = InsightNotes(pushdown=False)
-        try:
-            notes.create_table("birds", ["name", "weight"])
-            notes.define_cluster("C", threshold=0.3)
-            notes.link("C", "birds")
-            plan = prepared_plan(
-                notes, "SELECT name FROM birds WHERE weight > 5 LIMIT 2"
-            )
-            (scan,) = nodes_of(plan, lp.Scan)
-            assert scan.storage_filter is None
-            assert scan.storage_limit is None
-            (hydrate,) = nodes_of(plan, lp.Hydrate)
-            assert hydrate.eager
-            assert isinstance(hydrate.child, lp.Scan)
-            # The selection runs in memory, above the eager Hydrate.
-            (select,) = nodes_of(plan, lp.Select)
-            assert hydrate in list(lp.walk(select.child))
-        finally:
-            notes.close()
-
 
 TRAINING = [
     ("observed feeding on stonewort beds at dawn", "Behavior"),
@@ -293,24 +271,6 @@ def populate_flock(notes: InsightNotes, rows: int = 30) -> InsightNotes:
             table="birds", row_id=i + 1,
         )
     return notes
-
-
-def fingerprint(result) -> str:
-    payload = [
-        {
-            "values": list(row.values),
-            "summaries": {
-                name: obj.to_json()
-                for name, obj in sorted(row.summaries.items())
-            },
-            "attachments": {
-                str(annotation_id): sorted(columns)
-                for annotation_id, columns in sorted(row.attachments.items())
-            },
-        }
-        for row in result.tuples
-    ]
-    return json.dumps(payload, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -366,37 +326,25 @@ class TestExecutionStats:
 
 
 class TestExecutionBudgets:
-    def test_selective_query_fetches_fewer_summary_statements(self):
-        # Small blocks + no object cache make round-trips visible: the
-        # eager pipeline hydrates all 30 rows (8 blocks), the lazy one
-        # only the 4 survivors (1 block).
-        lazy = populate_flock(
+    def test_selective_query_fetches_one_block_of_summaries(self):
+        # Small blocks + no object cache make round-trips visible: of 30
+        # rows (8 blocks of 4) only the 4 survivors are hydrated, in one
+        # block, with one summary-state fetch.
+        notes = populate_flock(
             InsightNotes(scan_block_size=4, object_cache_size=0)
-        )
-        eager = populate_flock(
-            InsightNotes(scan_block_size=4, object_cache_size=0,
-                         pushdown=False)
         )
         sql = "SELECT name, species, weight FROM birds WHERE weight > 25"
         try:
-            for notes in (lazy, eager):
-                notes.manager.drop_caches()
-            with lazy.db.track_queries() as few:
-                lazy_result = lazy.query(sql)
-            with eager.db.track_queries() as many:
-                eager_result = eager.query(sql)
-            assert fingerprint(lazy_result) == fingerprint(eager_result)
-            lazy_state = sum(
-                1 for s in few.statements if "summary_state" in s
-            )
-            eager_state = sum(
-                1 for s in many.statements if "summary_state" in s
-            )
-            assert lazy_state > 0
-            assert eager_state >= 3 * lazy_state
+            notes.manager.drop_caches()
+            with notes.db.track_queries() as counter:
+                result = notes.query(sql)
+            RawOracle(notes).check(result, sql)
+            assert result.stats.rows_hydrated == 4
+            assert result.stats.hydration_blocks == 1
+            state = [s for s in counter.statements if "summary_state" in s]
+            assert len(state) == 1
         finally:
-            lazy.close()
-            eager.close()
+            notes.close()
 
     def test_values_only_subquery_skips_hydration(self):
         notes = populate_flock(InsightNotes(object_cache_size=0))
@@ -413,28 +361,7 @@ class TestExecutionBudgets:
         finally:
             notes.close()
 
-    def test_values_only_subquery_hydrates_when_pushdown_off(self):
-        # The control for the skip: the eager pipeline hydrates the
-        # subquery's scan even though only values are consumed.
-        notes = populate_flock(
-            InsightNotes(object_cache_size=0, pushdown=False)
-        )
-        sql = (
-            "SELECT name FROM birds WHERE weight IN "
-            "(SELECT weight FROM birds WHERE weight > 25) WITH NO SUMMARIES"
-        )
-        try:
-            notes.manager.drop_caches()
-            with notes.db.track_queries() as counter:
-                result = notes.query(sql)
-            assert len(result.tuples) == 4
-            assert any("summary_state" in s for s in counter.statements)
-        finally:
-            notes.close()
-
-    def test_pushdown_modes_agree_on_a_query_mix(self):
-        lazy = populate_flock(InsightNotes())
-        eager = populate_flock(InsightNotes(pushdown=False))
+    def test_query_mix_matches_raw_propagation(self, flock):
         queries = [
             "SELECT name, species, weight FROM birds WHERE weight > 25",
             "SELECT name FROM birds WHERE name LIKE '%5' ORDER BY name",
@@ -443,14 +370,9 @@ class TestExecutionBudgets:
             "SELECT name FROM birds WHERE weight > 3 LIMIT 4",
             "SELECT DISTINCT species FROM birds WHERE weight < 20",
         ]
-        try:
-            for sql in queries:
-                assert fingerprint(lazy.query(sql)) == fingerprint(
-                    eager.query(sql)
-                ), sql
-        finally:
-            lazy.close()
-            eager.close()
+        oracle = RawOracle(flock)
+        for sql in queries:
+            oracle.check(flock.query(sql), sql)
 
 
 class TestGhostInstances:

@@ -1,27 +1,26 @@
-"""Property test: pushdown is byte-identical to the eager pipeline.
+"""Property test: pushdown and lazy hydration answer like raw propagation.
 
 Storage-level predicate/limit pushdown and lazy block-wise hydration are
-*purely* performance optimizations: for any query, a pushdown-enabled
-session must return exactly what the eager pipeline (``pushdown=False``
-— every row hydrated at the scan, every predicate evaluated in memory)
-returns — same values, same serialized summary objects, same attachment
-maps, byte for byte.
+*purely* performance optimizations: for any query, the session must
+return what the raw-annotation engine returns over the normalized plan
+with every predicate evaluated in memory (:mod:`tests.raw_oracle`) —
+the same rows in the same order, the same annotation ids per row, and
+summaries covering exactly those annotations.
 
 Hypothesis drives random queries — sargable and residual predicates
 (comparisons, IN, LIKE, NULL tests, summary functions, AND/OR/NOT
 mixes), DISTINCT, GROUP BY, ORDER BY, LIMIT, and IN-subqueries — over a
-table that includes NULL cells, against both modes of the same dataset.
+table that includes NULL cells.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import InsightNotes
+from tests.raw_oracle import RawOracle
 
 TRAINING = [
     ("observed feeding on stonewort beds at dawn", "Behavior"),
@@ -55,8 +54,8 @@ _NOTES = [
 ]
 
 
-def _build_session(pushdown: bool) -> InsightNotes:
-    notes = InsightNotes(pushdown=pushdown)
+def _build_session() -> InsightNotes:
+    notes = InsightNotes()
     notes.create_table("birds", ["name", "species", "weight"])
     for row in _ROWS:
         notes.insert("birds", row)
@@ -71,30 +70,10 @@ def _build_session(pushdown: bool) -> InsightNotes:
 
 
 @pytest.fixture(scope="module")
-def paired_sessions():
-    lazy = _build_session(pushdown=True)
-    eager = _build_session(pushdown=False)
-    yield lazy, eager
-    lazy.close()
-    eager.close()
-
-
-def fingerprint(result) -> str:
-    payload = [
-        {
-            "values": list(row.values),
-            "summaries": {
-                name: obj.to_json()
-                for name, obj in sorted(row.summaries.items())
-            },
-            "attachments": {
-                str(annotation_id): sorted(columns)
-                for annotation_id, columns in sorted(row.attachments.items())
-            },
-        }
-        for row in result.tuples
-    ]
-    return json.dumps(payload, sort_keys=True)
+def session_and_oracle():
+    notes = _build_session()
+    yield notes, RawOracle(notes)
+    notes.close()
 
 
 # -- query strategy -----------------------------------------------------
@@ -186,6 +165,6 @@ def queries(draw) -> str:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_pushdown_matches_eager_pipeline_byte_for_byte(paired_sessions, sql):
-    lazy, eager = paired_sessions
-    assert fingerprint(lazy.query(sql)) == fingerprint(eager.query(sql)), sql
+def test_pushdown_matches_raw_propagation(session_and_oracle, sql):
+    notes, oracle = session_and_oracle
+    oracle.check(notes.query(sql), sql)

@@ -295,9 +295,10 @@ class TestTracer:
         # The influenza annotation sits only on weight; the projection
         # removes its effect downstream of the hydration point.  The
         # hydrate trace snapshot must still carry it (the copy-on-write
-        # alias keeps the pre-mutation payload).  Pushdown is off so
-        # hydration happens eagerly at the scan, below the projection.
-        notes = InsightNotes(pushdown=False)
+        # alias keeps the pre-mutation payload).  The summary predicate
+        # is a hydration barrier over both columns, so hydration happens
+        # below the selection and the projection above it.
+        notes = InsightNotes()
         try:
             notes.create_table("birds", ["name", "weight"])
             notes.insert("birds", ("Swan Goose", 3.2))
@@ -310,7 +311,11 @@ class TestTracer:
                 "shows symptoms of avian influenza",
                 table="birds", row_id=1, columns=["weight"],
             )
-            result = notes.query("SELECT name FROM birds", trace=True)
+            result = notes.query(
+                "SELECT name FROM birds "
+                "WHERE weight > 0 AND SUMMARY_COUNT('BirdClass') >= 0",
+                trace=True,
+            )
             final_ids = result.tuples[0].summaries["BirdClass"].annotation_ids()
             assert dropped.annotation_id not in final_ids
             grouped = result.trace.by_operator()

@@ -17,7 +17,7 @@ class TestStats:
     def test_stats_renders_all_sections(self, repl):
         text = repl.handle("\\stats")
         for key in ("tables:", "annotations:", "maintenance:",
-                    "zoomin_cache:", "summarize_once:"):
+                    "zoomin:", "summarize_once:"):
             assert key in text
 
     def test_stats_reflect_activity(self, repl):
