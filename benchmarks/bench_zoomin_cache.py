@@ -30,10 +30,10 @@ from repro.zoomin.admission import (
     AdmitAll,
     CostAwareAdmission,
 )
-from repro.zoomin.cache import ZoomInCache
 from repro.zoomin.executor import ZoomInExecutor
 from repro.zoomin.policies import FIFOPolicy, LFUPolicy, LRUPolicy, SizePolicy
 from repro.zoomin.rco import RCOPolicy
+from repro.zoomin.stores import SQLiteResultStore
 from repro.zoomin.tiered import TieredZoomInCache
 
 POLICIES = {
@@ -91,7 +91,12 @@ def _replay(policy_factory, capacity_fraction: float):
         result.size_estimate() for result in state["results"].values()
     )
     capacity = max(1024, int(total_bytes * capacity_fraction))
-    cache = ZoomInCache(capacity_bytes=capacity, policy=policy_factory())
+    cache = TieredZoomInCache(
+        memory_bytes=capacity,
+        disk_bytes=0,
+        policy=policy_factory(),
+        admission=AdmitAll(),
+    )
 
     def recompute(qid: int):
         # A miss re-runs the query (the result registry plays the role of
@@ -127,12 +132,12 @@ def test_report_series(benchmark):
             seconds = time_call(
                 lambda: _replay(POLICIES[name], fraction), repeats=1
             )
-            cache = _replay(POLICIES[name], fraction)
-            hit_ratios[(name, fraction)] = cache.stats.hit_ratio
+            counters = _replay(POLICIES[name], fraction).counters
+            hit_ratios[(name, fraction)] = counters.hit_ratio
             times[(name, fraction)] = seconds
             rows.append(
-                (f"{fraction:.2f}", name, cache.stats.hit_ratio,
-                 cache.stats.evictions, seconds * 1000)
+                (f"{fraction:.2f}", name, counters.hit_ratio,
+                 counters.memory_evictions, seconds * 1000)
             )
         # no-cache lower bound: every reference recomputes
         no_cache = time_call(
@@ -160,11 +165,11 @@ def test_report_series(benchmark):
 def test_disk_store_variant(benchmark):
     """The paper's disk-based materialization: RCO over a SQLite store.
 
-    Hit ratios must match the in-memory store exactly (replacement logic
-    is storage-agnostic); only latency differs by the serialization cost.
+    The disk variant gets a one-byte memory tier, so every result goes
+    straight to SQLite.  Hit ratios must match the memory-only cache
+    closely (replacement logic is storage-agnostic); latency differs by
+    the serialization cost.
     """
-    from repro.zoomin.stores import SQLiteResultStore
-
     state = _setup()
     session = state["session"]
     sqls = state["sqls"]
@@ -172,8 +177,14 @@ def test_disk_store_variant(benchmark):
 
     def replay_with_store(store=None):
         capacity = max(1024, int(total_bytes * 0.5))
-        cache = ZoomInCache(capacity_bytes=capacity, policy=RCOPolicy(),
-                            store=store)
+        on_disk = store is not None
+        cache = TieredZoomInCache(
+            memory_bytes=1 if on_disk else capacity,
+            disk_bytes=capacity if on_disk else 0,
+            policy=RCOPolicy(),
+            disk_store=store,
+            admission=AdmitAll(),
+        )
 
         def recompute(qid: int):
             fresh = session.query(sqls[qid])
@@ -201,14 +212,14 @@ def test_disk_store_variant(benchmark):
         "EXP-Z1 variant: in-memory vs disk-based (SQLite) result store",
         ["store", "hit ratio", "total ms"],
         [
-            ("memory", memory_cache.stats.hit_ratio, memory_seconds * 1000),
-            ("sqlite", disk_cache.stats.hit_ratio, disk_seconds * 1000),
+            ("memory", memory_cache.counters.hit_ratio, memory_seconds * 1000),
+            ("sqlite", disk_cache.counters.hit_ratio, disk_seconds * 1000),
         ],
     )
     # Replacement behaviour is storage-agnostic; note the charged sizes
     # differ (object estimate vs serialized bytes), so allow slack.
     assert abs(
-        memory_cache.stats.hit_ratio - disk_cache.stats.hit_ratio
+        memory_cache.counters.hit_ratio - disk_cache.counters.hit_ratio
     ) < 0.15
     benchmark(lambda: None)
 
@@ -457,8 +468,10 @@ def test_rco_weight_ablation(benchmark):
     }
     rows = []
     for name, weights in variants.items():
-        cache = _replay(lambda w=weights: RCOPolicy(w), capacity_fraction=0.3)
-        rows.append((name, cache.stats.hit_ratio, cache.stats.evictions))
+        counters = _replay(
+            lambda w=weights: RCOPolicy(w), capacity_fraction=0.3
+        ).counters
+        rows.append((name, counters.hit_ratio, counters.memory_evictions))
     write_report(
         "exp_z1_rco_ablation",
         "EXP-Z1 ablation: RCO weight variants at 0.3x capacity",

@@ -625,8 +625,7 @@ BENCHES = {
             "nocache": "admission rejects everything: every zoom-in "
             "re-executes its query",
             "lru": "LRU replacement + admit-all over the two-tier cache",
-            "rco": "RCO replacement + cost-aware admission "
-            "(production default)",
+            "rco": "RCO replacement + cost-aware admission",
         },
         "pair": ("nocache", "rco"),
         "gate": check_zoomin_gate,

@@ -80,8 +80,9 @@ def main() -> None:
     print("Full article body retrieved by the zoom-in:")
     print(" ", full_article.text)
     print()
-    print(f"cache stats: {notes.cache.stats.hits} hits, "
-          f"{notes.cache.stats.misses} misses")
+    cache = notes.statistics()["zoomin"]
+    print(f"cache stats: {cache['memory_hits'] + cache['disk_hits']} hits, "
+          f"{cache['misses']} misses")
     notes.close()
 
 

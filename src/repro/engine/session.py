@@ -52,10 +52,11 @@ from repro.storage.database import Database
 from repro.storage.planner_stats import PlannerStatsStore
 from repro.summaries.base import SummaryInstance
 from repro.summaries.registry import SummaryTypeRegistry
-from repro.zoomin.cache import ZoomInCache
+from repro.zoomin.admission import AdmitAll
 from repro.zoomin.command import ZoomInCommand
 from repro.zoomin.executor import ZoomInExecutor, ZoomInResult
 from repro.zoomin.rco import RCOPolicy
+from repro.zoomin.stores import SQLiteResultStore
 from repro.zoomin.tiered import TieredZoomInCache
 from repro.zoomin.tracing import TraceStore
 
@@ -71,25 +72,19 @@ class InsightNotes:
         Summary type registry; defaults to the three built-in types.
         Register custom types before defining instances of them.
     cache_bytes:
-        Capacity of the zoom-in result cache.
-    cache_policy:
-        Replacement policy for that cache; defaults to the paper's RCO.
+        Budget of the zoom-in result cache's memory tier
+        (:class:`~repro.zoomin.tiered.TieredZoomInCache`, RCO-ranked,
+        admitting every result that fits), charged against each
+        result's estimated in-memory size.
     cache_store:
-        Storage backend for cached results: ``None`` keeps live objects
-        in memory; ``"disk"`` serializes results through a SQLite store
-        (the paper's disk-based materialization); any other string is a
-        SQLite file path for the store; a
-        :class:`~repro.zoomin.stores.ResultStore` instance is used as-is.
-        With ``cache_disk_bytes`` set this names the *disk tier* of the
-        tiered cache instead.
+        SQLite file of the cache's disk tier; ``None`` keeps the tier in
+        a private in-memory SQLite database.  Needs ``cache_disk_bytes``.
     cache_disk_bytes:
-        Enable the production two-tier cache
-        (:class:`~repro.zoomin.tiered.TieredZoomInCache`): ``cache_bytes``
-        budgets the hot in-memory tier and this budgets the disk tier
-        (``cache_store`` selects its SQLite file; default private
-        in-memory).  Brings cost-aware admission (priced by the cost
-        model's recompute estimate) and single-flight zoom-in recompute.
-        ``None`` (the default) keeps the single-tier prototype cache.
+        Budget of the cache's disk tier, charged in encoded payload
+        bytes: memory victims are demoted there and results too large
+        for memory are admitted there directly.  ``0`` (the default)
+        runs without a disk tier — no store is opened and a memory
+        victim is dropped.
     trace_history:
         How many recent per-query traces (:class:`~repro.zoomin.tracing.
         QueryTrace`) the session retains for :meth:`trace`.
@@ -128,9 +123,8 @@ class InsightNotes:
         path: str = ":memory:",
         registry: SummaryTypeRegistry | None = None,
         cache_bytes: int = 4 * 1024 * 1024,
-        cache_policy: Any | None = None,
-        cache_store: Any | None = None,
-        cache_disk_bytes: int | None = None,
+        cache_store: str | None = None,
+        cache_disk_bytes: int = 0,
         trace_history: int = 128,
         normalize: bool = True,
         scan_block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
@@ -158,41 +152,23 @@ class InsightNotes:
         )
         self.results = ResultRegistry()
         self.traces = TraceStore(capacity=trace_history)
-        if isinstance(cache_store, str):
-            from repro.zoomin.stores import SQLiteResultStore
-
-            store_path = ":memory:" if cache_store == "disk" else cache_store
-            cache_store = SQLiteResultStore(
-                store_path, registry=self.catalog.registry
+        disk_store = None
+        if cache_disk_bytes:
+            # The disk tier must deserialize with *this* session's
+            # registry, or custom summary types fail to revive.
+            disk_store = SQLiteResultStore(
+                cache_store or ":memory:", registry=self.catalog.registry
             )
-        self.cache: ZoomInCache | TieredZoomInCache
-        if cache_disk_bytes is not None:
-            from repro.zoomin.stores import SQLiteResultStore
-
-            if cache_store is None:
-                # The disk tier must deserialize with *this* session's
-                # registry, or custom summary types fail to revive.
-                cache_store = SQLiteResultStore(
-                    registry=self.catalog.registry
-                )
-            elif not isinstance(cache_store, SQLiteResultStore):
-                raise ValueError(
-                    "the tiered cache's disk tier needs a SQLiteResultStore "
-                    f"(or a path), got {type(cache_store).__name__}"
-                )
-            self.cache = TieredZoomInCache(
-                memory_bytes=cache_bytes,
-                disk_bytes=cache_disk_bytes,
-                policy=cache_policy or RCOPolicy(),
-                disk_store=cache_store,
-                trace_store=self.traces,
-            )
-        else:
-            self.cache = ZoomInCache(
-                capacity_bytes=cache_bytes,
-                policy=cache_policy or RCOPolicy(),
-                store=cache_store,
-            )
+        elif cache_store is not None:
+            raise ValueError("cache_store names the disk tier; set cache_disk_bytes")
+        self.cache = TieredZoomInCache(
+            memory_bytes=cache_bytes,
+            disk_bytes=cache_disk_bytes,
+            policy=RCOPolicy(),
+            disk_store=disk_store,
+            admission=AdmitAll(),
+            trace_store=self.traces,
+        )
         self._zoomin = ZoomInExecutor(
             self.annotations, self.cache, recompute=self.results.get
         )
@@ -209,8 +185,10 @@ class InsightNotes:
         self.manager.flush()
 
     def close(self) -> None:
-        """Flush deferred summary writes and close the database."""
+        """Flush deferred summary writes, close the zoom-in cache's disk
+        tier and the database."""
         self.manager.flush()
+        self.cache.close()
         self.db.close()
 
     def __enter__(self) -> "InsightNotes":
@@ -406,11 +384,17 @@ class InsightNotes:
 
     def delete_annotation(self, annotation_id: int) -> None:
         """Remove an annotation, updating all affected summaries."""
+        cells = self.annotations.cells_of(annotation_id)
         per_table: dict[str, int] = {}
-        for cell in self.annotations.cells_of(annotation_id):
+        for cell in cells:
             per_table[cell.table] = per_table.get(cell.table, 0) + 1
         self.manager.on_annotation_deleted(annotation_id)
         self.annotations.delete(annotation_id)
+        # A read between the summary update and the store delete may
+        # have cached the pre-delete attachment map; drop it again.
+        self.manager.invalidate_attachments(
+            {(cell.table, cell.row_id) for cell in cells}
+        )
         for table, count in per_table.items():
             self.stats_registry.on_annotations_changed(table, -count)
 
@@ -717,7 +701,6 @@ class InsightNotes:
                 **self.planner.counters.to_json(),
                 "stats": self.stats_registry.freshness(),
             },
-            # Both cache implementations export the same stats_json schema.
             "zoomin": self.cache.stats_json(),
             "traces_retained": len(self.traces),
         }

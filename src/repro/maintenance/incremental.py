@@ -277,6 +277,13 @@ class SummaryManager:
         while len(self._attachments) > self._attachments_cache_size:
             self._attachments.popitem(last=False)
 
+    def invalidate_attachments(self, rows: Iterable[tuple[str, int]]) -> None:
+        """Drop the cached attachment maps of ``rows`` after a store
+        write that changed them outside the summary write path."""
+        with self._lock:
+            for table, row_id in rows:
+                self._invalidate_attachments(table, row_id)
+
     def _invalidate_attachments(self, table: str, row_id: int) -> None:
         key = (table, row_id)
         self._attachments.pop(key, None)

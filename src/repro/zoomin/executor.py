@@ -20,11 +20,9 @@ from repro.errors import ZoomInError
 from repro.model.annotation import Annotation
 from repro.storage.annotations import AnnotationStore
 from repro.summaries.base import ZoomComponent
-from repro.zoomin.cache import ZoomInCache
 from repro.zoomin.command import ZoomInCommand, parse_zoomin
 from repro.zoomin.tiered import (
     SOURCE_COALESCED,
-    SOURCE_MEMORY,
     SOURCE_RECOMPUTED,
     TieredZoomInCache,
 )
@@ -70,8 +68,7 @@ class ZoomInResult:
     cache_hit: bool
     elapsed_seconds: float = 0.0
     #: Where the referenced result came from: ``memory`` / ``disk`` /
-    #: ``recomputed`` / ``coalesced`` on the tiered cache; ``memory`` /
-    #: ``recomputed`` on the single-tier prototype.
+    #: ``recomputed`` / ``coalesced``.
     source: str = ""
 
     def annotation_count(self) -> int:
@@ -97,17 +94,15 @@ class ZoomInResult:
 class ZoomInExecutor:
     """Executes zoom-in commands against the result cache.
 
-    ``cache`` may be the single-tier prototype
-    (:class:`~repro.zoomin.cache.ZoomInCache`) or the production
-    :class:`~repro.zoomin.tiered.TieredZoomInCache`; the tiered cache's
-    ``get_or_compute`` is used when available so concurrent zoom-ins
-    referencing the same evicted qid coalesce into one re-execution.
+    A miss runs ``recompute`` through the cache's ``get_or_compute``, so
+    concurrent zoom-ins referencing the same evicted qid coalesce into
+    one re-execution.
     """
 
     def __init__(
         self,
         annotations: AnnotationStore,
-        cache: ZoomInCache | TieredZoomInCache,
+        cache: TieredZoomInCache,
         recompute: Callable[[int], QueryResult],
     ) -> None:
         self._annotations = annotations
@@ -119,7 +114,10 @@ class ZoomInExecutor:
         if isinstance(command, str):
             command = parse_zoomin(command)
         started = time.perf_counter()
-        result, source = self._resolve(command.qid)
+        qid = command.qid
+        result, source = self._cache.get_or_compute(
+            qid, lambda: self._recompute(qid)
+        )
         matches = self._expand(command, result)
         elapsed = time.perf_counter() - started
         return ZoomInResult(
@@ -129,18 +127,6 @@ class ZoomInExecutor:
             elapsed_seconds=elapsed,
             source=source,
         )
-
-    def _resolve(self, qid: int) -> tuple[QueryResult, str]:
-        if isinstance(self._cache, TieredZoomInCache):
-            return self._cache.get_or_compute(
-                qid, lambda: self._recompute(qid)
-            )
-        result = self._cache.get(qid)
-        if result is not None:
-            return result, SOURCE_MEMORY
-        result = self._recompute(qid)
-        self._cache.put(result)
-        return result, SOURCE_RECOMPUTED
 
     def _expand(
         self, command: ZoomInCommand, result: QueryResult

@@ -1,15 +1,12 @@
-"""Result-store backends for the zoom-in cache.
+"""The disk tier's store for the zoom-in cache.
 
 The paper describes a *disk-based* cache where query results are
-materialized to serve future zoom-ins (§2.2).  The cache's replacement
-logic is storage-agnostic; these backends supply the storage:
+materialized to serve future zoom-ins (§2.2).
+:class:`SQLiteResultStore` serializes results to a SQLite file — the
+faithful disk-based materialization behind
+:class:`~repro.zoomin.tiered.TieredZoomInCache`'s disk tier.
 
-* :class:`MemoryResultStore` — results kept as live objects (fast, the
-  default for interactive sessions);
-* :class:`SQLiteResultStore` — results serialized to a SQLite file, the
-  faithful disk-based materialization.
-
-**Byte accounting differs by tier, deliberately.**  The memory store
+**Byte accounting differs by tier, deliberately.**  The memory tier
 charges :meth:`~repro.engine.results.QueryResult.size_estimate` — an
 estimate of the *live object* footprint, which is what a memory budget
 actually bounds.  The SQLite store charges the encoded UTF-8 byte
@@ -29,7 +26,6 @@ tiered cache's warm start.
 
 from __future__ import annotations
 
-import abc
 import json
 from dataclasses import dataclass
 
@@ -37,51 +33,6 @@ from repro.concurrency import make_lock
 from repro.engine.results import QueryResult
 from repro.storage.pool import connect
 from repro.summaries.registry import SummaryTypeRegistry, default_registry
-
-
-class ResultStore(abc.ABC):
-    """Storage backend contract for cached query results."""
-
-    @abc.abstractmethod
-    def put(self, result: QueryResult) -> int:
-        """Store ``result``; returns the bytes to charge against capacity."""
-
-    @abc.abstractmethod
-    def get(self, qid: int) -> QueryResult | None:
-        """Fetch a stored result, or None."""
-
-    @abc.abstractmethod
-    def delete(self, qid: int) -> None:
-        """Drop a stored result (no-op when absent)."""
-
-    @abc.abstractmethod
-    def clear(self) -> None:
-        """Drop everything."""
-
-
-class MemoryResultStore(ResultStore):
-    """Keeps results as live Python objects.
-
-    Charges ``size_estimate()`` — the estimated in-memory footprint —
-    because what a memory tier's budget bounds is resident object
-    bytes, not what serialization would produce.
-    """
-
-    def __init__(self) -> None:
-        self._results: dict[int, QueryResult] = {}
-
-    def put(self, result: QueryResult) -> int:
-        self._results[result.qid] = result
-        return result.size_estimate()
-
-    def get(self, qid: int) -> QueryResult | None:
-        return self._results.get(qid)
-
-    def delete(self, qid: int) -> None:
-        self._results.pop(qid, None)
-
-    def clear(self) -> None:
-        self._results.clear()
 
 
 @dataclass(frozen=True)
@@ -95,7 +46,7 @@ class StoredEntryMeta:
     last_access: int
 
 
-class SQLiteResultStore(ResultStore):
+class SQLiteResultStore:
     """Materializes results as JSON rows in a SQLite file.
 
     ``path`` defaults to a private in-memory SQLite database, which still
@@ -238,6 +189,7 @@ class SQLiteResultStore(ResultStore):
             )
 
     def get(self, qid: int) -> QueryResult | None:
+        """Fetch a stored result, or None."""
         row = self._connection.execute(
             "SELECT payload FROM cached_results WHERE qid = ?", (qid,)
         ).fetchone()
@@ -269,12 +221,14 @@ class SQLiteResultStore(ResultStore):
         ]
 
     def delete(self, qid: int) -> None:
+        """Drop a stored result (no-op when absent)."""
         with self._txn_lock, self._connection:
             self._connection.execute(
                 "DELETE FROM cached_results WHERE qid = ?", (qid,)
             )
 
     def clear(self) -> None:
+        """Drop everything."""
         with self._txn_lock, self._connection:
             self._connection.execute("DELETE FROM cached_results")
 

@@ -1,24 +1,33 @@
-"""The production two-tier zoom-in result cache.
+"""The zoom-in result cache.
 
-The paper's zoom-in cache is disk-based (§2.2); the prototype
-:class:`~repro.zoomin.cache.ZoomInCache` is single-tier and single-lock.
-This module is the production path:
+Query results are materialized into a limited cache where they "compete
+with each other" (§2.2) to serve future zoom-in operations, ranked by
+the paper's RCO policy (:mod:`repro.zoomin.rco`).  All timing is a
+logical clock (one tick per lookup or admission) so replacement is
+deterministic and testable.
 
-* **Two exclusive tiers.**  A hot in-memory tier holds live
-  :class:`~repro.engine.results.QueryResult` objects; a disk tier
+* **One or two exclusive tiers.**  A hot in-memory tier holds live
+  :class:`~repro.engine.results.QueryResult` objects.  With
+  ``disk_bytes > 0`` a disk tier
   (:class:`~repro.zoomin.stores.SQLiteResultStore`) holds serialized
-  payloads.  Each tier has its own byte budget, charged in its own
-  currency (object-size estimate vs encoded payload bytes — see
-  :mod:`repro.zoomin.stores`).  Memory eviction *demotes* the victim to
-  disk; a disk hit *promotes* the result back to memory.  An entry is
-  resident in exactly one tier at a time.
+  payloads — the paper's disk-based materialization.  Each tier has its
+  own byte budget, charged in its own currency (object-size estimate vs
+  encoded payload bytes — see :mod:`repro.zoomin.stores`).  Memory
+  eviction *demotes* the victim to disk; a disk hit *promotes* the
+  result back to memory.  An entry is resident in exactly one tier at a
+  time.  With ``disk_bytes=0`` there is no disk tier: no store is
+  opened, nothing is ever serialized, and a memory victim is dropped.
 
-* **Cost-aware admission.**  Candidates are priced by the cost model's
-  recompute estimate and ruled on by an
-  :class:`~repro.zoomin.admission.AdmissionPolicy` before any bytes
-  move; results too large for the memory tier are admitted straight to
-  disk when they fit there.  Pinned entries are never chosen as
-  victims.
+* **Admission before any bytes move.**  Candidates are priced by the
+  cost model's recompute estimate and ruled on by an
+  :class:`~repro.zoomin.admission.AdmissionPolicy`; results too large
+  for the memory tier are admitted straight to disk when they fit there
+  (and stay there after a hit).  The entry being admitted or promoted
+  is never its own victim, and pinned entries are never victims.
+
+* **RCO ranks by structural complexity.**  Every entry's ``cost`` is the
+  query's ``plan_cost`` — RCO's "Complexity" factor — whatever price
+  admission ruled on.
 
 * **Single-flight recompute.**  Concurrent zoom-ins referencing the
   same evicted qid coalesce onto one re-execution via per-qid in-flight
@@ -69,7 +78,7 @@ _SOURCE_MISS = "miss"
 
 @dataclass
 class TierCounters:
-    """Every counter the tiered cache exports."""
+    """Every counter the cache exports."""
 
     memory_hits: int = 0
     disk_hits: int = 0
@@ -138,20 +147,22 @@ class _FlightStripe:
 
 
 class TieredZoomInCache:
-    """Two-tier RCO cache with admission control and single-flight.
+    """RCO result cache with admission control and single-flight.
 
     Parameters
     ----------
     memory_bytes:
         Budget of the hot tier, charged against ``size_estimate()``.
     disk_bytes:
-        Budget of the disk tier, charged against encoded payload bytes.
+        Budget of the disk tier, charged against encoded payload bytes;
+        ``0`` runs without a disk tier.
     policy:
         Replacement ranking for both tiers; defaults to the paper's RCO.
     disk_store:
-        Backing store of the cold tier.  When the store already holds
-        entries (a cache file from a previous process) their metadata is
-        warm-loaded so the disk tier starts populated.
+        Backing store of the disk tier (default: a private in-memory
+        SQLite store).  When the store already holds entries (a cache
+        file from a previous process) their metadata is warm-loaded so
+        the disk tier starts populated.
     admission:
         Admission policy; defaults to :class:`CostAwareAdmission`.
     trace_store:
@@ -172,8 +183,10 @@ class TieredZoomInCache:
     ) -> None:
         if memory_bytes < 1:
             raise ValueError(f"memory_bytes must be >= 1, got {memory_bytes}")
-        if disk_bytes < 1:
-            raise ValueError(f"disk_bytes must be >= 1, got {disk_bytes}")
+        if disk_bytes < 0:
+            raise ValueError(f"disk_bytes must be >= 0, got {disk_bytes}")
+        if disk_store is not None and not disk_bytes:
+            raise ValueError("a disk_store needs disk_bytes > 0")
         if n_stripes < 1:
             raise ValueError(f"n_stripes must be >= 1, got {n_stripes}")
         self.memory_bytes = memory_bytes
@@ -181,7 +194,9 @@ class TieredZoomInCache:
         self.policy = policy or RCOPolicy()
         self.admission = admission or CostAwareAdmission()
         self.counters = TierCounters()
-        self._disk_store = disk_store or SQLiteResultStore()
+        self._disk_store = (
+            (disk_store or SQLiteResultStore()) if disk_bytes else None
+        )
         self._trace_store = trace_store
         self._stripes = [_FlightStripe() for _ in range(n_stripes)]
         # Tier metadata, payloads of the hot tier, and accounting — all
@@ -200,8 +215,17 @@ class TieredZoomInCache:
 
     # -- construction helpers ------------------------------------------
 
+    @property
+    def _store(self) -> SQLiteResultStore:
+        """The disk tier's store; only reached for disk-resident qids,
+        which exist only when there is a disk tier."""
+        assert self._disk_store is not None
+        return self._disk_store
+
     def _warm_start(self) -> None:
         """Rebuild the disk tier's metadata from a pre-existing store."""
+        if self._disk_store is None:
+            return
         for meta in self._disk_store.load_metadata():
             self._entries_disk[meta.qid] = CacheEntry(
                 qid=meta.qid,
@@ -237,8 +261,7 @@ class TieredZoomInCache:
             return len(self._entries_memory) + len(self._entries_disk)
 
     def __contains__(self, qid: int) -> bool:
-        with self._lock:
-            return qid in self._entries_memory or qid in self._entries_disk
+        return self._resident(qid)
 
     def resident_qids(self) -> list[int]:
         """QIDs resident in either tier, sorted."""
@@ -319,7 +342,7 @@ class TieredZoomInCache:
         # Disk-resident: read the payload with the lock released, then
         # re-take it to promote.  A concurrent invalidate can win the
         # race; both outcomes below handle the entry having vanished.
-        result = self._disk_store.get(qid)
+        result = self._store.get(qid)
         if result is None:
             with self._lock:
                 stale = self._entries_disk.pop(qid, None)
@@ -328,18 +351,18 @@ class TieredZoomInCache:
                 self.counters.misses += 1
             self._emit(qid, [CacheEvent("miss", detail="stale-metadata")])
             return None, _SOURCE_MISS
-        return self._promote(qid, result)
+        return self._promote(qid, result, now)
 
     def _promote(
-        self, qid: int, result: QueryResult
+        self, qid: int, result: QueryResult, now: int
     ) -> tuple[QueryResult | None, str]:
-        """Move a just-read disk entry into the memory tier."""
+        """Serve a disk hit read at tick ``now``, promoting the entry
+        into the memory tier unless admission rules it oversize there."""
         events: list[CacheEvent] = [CacheEvent("hit-disk", tier="disk")]
-        demote_jobs: list[tuple[QueryResult, CacheEntry]] = []
+        victims: list[tuple[QueryResult, CacheEntry]] = []
         refresh: tuple[int, int] | None = None
         promoted = False
         with self._lock:
-            now = self._tick()
             disk_entry = self._entries_disk.get(qid)
             if disk_entry is None:
                 # Invalidated between the probe and here; serve the
@@ -350,33 +373,32 @@ class TieredZoomInCache:
             disk_entry.last_access = now
             disk_entry.access_count += 1
             mem_size = result.size_estimate()
-            if mem_size > self.memory_bytes:
-                # Too big for the hot tier: stays disk-resident; its
-                # refreshed reference counts are persisted below.
+            verdict = self.admission.assess(
+                mem_size, disk_entry.cost, self.memory_bytes
+            )
+            if verdict.reason == REJECTED_OVERSIZE:
+                # Admission keeps it out of the hot tier: stays
+                # disk-resident; its refreshed reference counts are
+                # persisted below.
                 refresh = (disk_entry.access_count, disk_entry.last_access)
             else:
                 del self._entries_disk[qid]
                 self._disk_bytes_used -= disk_entry.size_bytes
-                self._entries_memory[qid] = CacheEntry(
-                    qid=qid,
-                    size_bytes=mem_size,
-                    cost=disk_entry.cost,
-                    inserted_at=now,
-                    last_access=now,
-                    access_count=disk_entry.access_count,
-                )
+                disk_entry.size_bytes = mem_size
+                disk_entry.inserted_at = now
+                self._entries_memory[qid] = disk_entry
                 self._memory[qid] = result
                 self._memory_bytes_used += mem_size
                 self.counters.promotions += 1
                 events.append(CacheEvent("promote", tier="memory"))
-                demote_jobs = self._collect_memory_overflow(now, events)
+                victims = self._collect_memory_overflow(now, keep=qid)
                 promoted = True
         if refresh is not None:
-            self._disk_store.update_access(qid, *refresh)
+            self._store.update_access(qid, *refresh)
         if promoted:
             # Exclusive tiers: the promoted payload leaves the disk file.
-            self._disk_store.delete(qid)
-            self._flush_demotions(demote_jobs)
+            self._store.delete(qid)
+            self._flush_victims(victims)
         self._emit(qid, events)
         return result, SOURCE_DISK
 
@@ -387,10 +409,11 @@ class TieredZoomInCache:
     ) -> AdmissionVerdict:
         """Offer ``result`` for residency; returns the verdict.
 
-        ``cost`` is the recompute price in cost-model units; defaults to
-        the result's own :attr:`~repro.engine.results.QueryResult.
-        cost_estimate` (falling back to the structural plan cost when no
-        estimate was computed).
+        ``cost`` is the recompute price admission rules on, in
+        cost-model units; defaults to the result's own
+        :attr:`~repro.engine.results.QueryResult.cost_estimate` (falling
+        back to the structural plan cost when no estimate was computed).
+        The entry RCO ranks always carries the structural ``plan_cost``.
         """
         recompute_cost = (
             cost
@@ -399,21 +422,22 @@ class TieredZoomInCache:
         )
         size = result.size_estimate()
         qid = result.qid
-        events: list[CacheEvent] = []
-        demote_jobs: list[tuple[QueryResult, CacheEntry]] = []
-        stale_disk_delete = False
+        victims: list[tuple[QueryResult, CacheEntry]] = []
+        dropped: str | None = None
         with self._lock:
             now = self._tick()
             verdict = self.admission.assess(
                 size, recompute_cost, self.memory_bytes, self._pinned_bytes
             )
+            oversize = verdict.reason == REJECTED_OVERSIZE
+            if verdict.admitted or oversize:
+                # (Re-)admission refreshes: drop any prior residency.
+                dropped = self._drop_locked(qid)
             if verdict.admitted:
-                # Re-admission refreshes: drop any prior residency.
-                stale_disk_delete = self._drop_locked(qid) == SOURCE_DISK
                 self._entries_memory[qid] = CacheEntry(
                     qid=qid,
                     size_bytes=size,
-                    cost=recompute_cost,
+                    cost=result.plan_cost,
                     inserted_at=now,
                     last_access=now,
                     access_count=0,
@@ -425,44 +449,36 @@ class TieredZoomInCache:
                     self._pinned_bytes += size
                     self.counters.pinned_insertions += 1
                 self.counters.insertions += 1
-                events.append(
-                    CacheEvent(
-                        "admit", tier="memory", detail=verdict.reason
-                    )
-                )
-                demote_jobs = self._collect_memory_overflow(now, events)
-            elif verdict.reason == REJECTED_OVERSIZE:
-                pass  # disk admission attempted below, outside the lock
+                event = CacheEvent("admit", tier="memory", detail=verdict.reason)
+                victims = self._collect_memory_overflow(now, keep=qid)
             else:
-                self.counters.rejected_cheap += 1
-                events.append(CacheEvent("reject", detail=verdict.reason))
-        if verdict.admitted:
-            if stale_disk_delete:
-                self._disk_store.delete(qid)
-            self._flush_demotions(demote_jobs)
-            self._emit(qid, events)
-            return verdict
-        if verdict.reason == REJECTED_OVERSIZE:
-            return self._admit_to_disk(result, recompute_cost, verdict)
-        self._emit(qid, events)
+                event = CacheEvent("reject", detail=verdict.reason)
+                if not oversize:
+                    self.counters.rejected_cheap += 1
+                elif self._disk_store is None:
+                    self.counters.rejected_oversize += 1
+        if oversize and self._disk_store is not None:
+            # The disk write upserts over any stale payload of this qid.
+            return self._admit_to_disk(result, now, verdict)
+        if dropped == SOURCE_DISK:
+            self._store.delete(qid)
+        self._flush_victims(victims)
+        self._emit(qid, [event])
         return verdict
 
     def _admit_to_disk(
         self,
         result: QueryResult,
-        recompute_cost: float,
+        now: int,
         memory_verdict: AdmissionVerdict,
     ) -> AdmissionVerdict:
-        """Oversized-for-memory results go straight to the cold tier."""
+        """Oversized-for-memory results go straight to the disk tier."""
         qid = result.qid
-        with self._lock:
-            now = self._tick()
-            self._drop_locked(qid)
-        size = self._disk_store.put(
-            result, cost=recompute_cost, access_count=0, last_access=now
+        size = self._store.put(
+            result, cost=result.plan_cost, access_count=0, last_access=now
         )
         if size > self.disk_bytes:
-            self._disk_store.delete(qid)
+            self._store.delete(qid)
             with self._lock:
                 self.counters.rejected_oversize += 1
             self._emit(
@@ -473,7 +489,7 @@ class TieredZoomInCache:
             self._entries_disk[qid] = CacheEntry(
                 qid=qid,
                 size_bytes=size,
-                cost=recompute_cost,
+                cost=result.plan_cost,
                 inserted_at=now,
                 last_access=now,
                 access_count=0,
@@ -484,87 +500,95 @@ class TieredZoomInCache:
             qid,
             [CacheEvent("admit", tier="disk", detail="oversize-for-memory")],
         )
-        self._shed_disk_overflow()
+        self._shed_disk_overflow(keep=qid)
         return AdmissionVerdict(
             admitted=True,
             pinned=False,
             reason="admitted",
-            recompute_cost=recompute_cost,
+            recompute_cost=memory_verdict.recompute_cost,
             size_bytes=size,
         )
 
     # -- eviction / demotion -------------------------------------------
 
     def _collect_memory_overflow(
-        self, now: int, events: list[CacheEvent]
+        self, now: int, keep: int
     ) -> list[tuple[QueryResult, CacheEntry]]:
-        """Pop memory victims until under budget.  Caller holds _lock;
-        the returned (payload, entry) jobs must be flushed to disk after
-        releasing it."""
-        jobs: list[tuple[QueryResult, CacheEntry]] = []
+        """Pop memory victims until under budget, never ``keep`` (the
+        entry being admitted or promoted).  Caller holds _lock; the
+        returned (payload, entry) victims must go to
+        :meth:`_flush_victims` after releasing it."""
+        victims: list[tuple[QueryResult, CacheEntry]] = []
         while self._memory_bytes_used > self.memory_bytes:
             candidates = [
                 entry
                 for entry in self._entries_memory.values()
-                if entry.qid not in self._pinned
+                if entry.qid != keep and entry.qid not in self._pinned
             ]
             if not candidates:
                 break  # everything left is pinned; tolerate overshoot
             victim = self.policy.victim(candidates, now)
             del self._entries_memory[victim.qid]
             self._memory_bytes_used -= victim.size_bytes
-            payload = self._memory.pop(victim.qid)
-            self.counters.demotions += 1
+            victims.append((self._memory.pop(victim.qid), victim))
             self.counters.memory_evictions += 1
-            events.append(
-                CacheEvent("demote", tier="disk", detail="memory-pressure")
-            )
-            jobs.append((payload, victim))
-        return jobs
+            if self._disk_store is not None:
+                self.counters.demotions += 1
+        return victims
 
-    def _flush_demotions(
-        self, jobs: list[tuple[QueryResult, CacheEntry]]
+    def _flush_victims(
+        self, victims: list[tuple[QueryResult, CacheEntry]]
     ) -> None:
-        """Serialize demoted victims into the disk store (no lock held
-        across the writes), then account them and shed disk overflow."""
-        if not jobs:
+        """Demote memory victims into the disk tier (no lock held across
+        the writes), then shed disk overflow; without a disk tier the
+        victims are simply gone."""
+        if self._disk_store is None:
+            for _, entry in victims:
+                self._emit(
+                    entry.qid,
+                    [CacheEvent("evict", tier="memory", detail="capacity")],
+                )
             return
-        for payload, entry in jobs:
-            size = self._disk_store.put(
+        if not victims:
+            return
+        for payload, entry in victims:
+            entry.size_bytes = self._disk_store.put(
                 payload,
                 cost=entry.cost,
                 access_count=entry.access_count,
                 last_access=entry.last_access,
             )
             with self._lock:
-                self._entries_disk[entry.qid] = CacheEntry(
-                    qid=entry.qid,
-                    size_bytes=size,
-                    cost=entry.cost,
-                    inserted_at=entry.inserted_at,
-                    last_access=entry.last_access,
-                    access_count=entry.access_count,
-                )
-                self._disk_bytes_used += size
-            self._emit(entry.qid, [CacheEvent("demote", tier="disk")])
+                self._entries_disk[entry.qid] = entry
+                self._disk_bytes_used += entry.size_bytes
+            self._emit(
+                entry.qid,
+                [CacheEvent("demote", tier="disk", detail="memory-pressure")],
+            )
         self._shed_disk_overflow()
 
-    def _shed_disk_overflow(self) -> None:
-        """Evict disk entries until under budget; SQL deletes happen
-        after the metadata lock is released."""
+    def _shed_disk_overflow(self, keep: int | None = None) -> None:
+        """Evict disk entries until under budget, never ``keep`` (the
+        entry just admitted to disk); SQL deletes happen after the
+        metadata lock is released."""
         doomed: list[int] = []
         with self._lock:
             now = self._clock
-            while self._disk_bytes_used > self.disk_bytes and self._entries_disk:
-                victim = self.policy.victim(
-                    list(self._entries_disk.values()), now
-                )
+            while self._disk_bytes_used > self.disk_bytes:
+                candidates = [
+                    entry
+                    for entry in self._entries_disk.values()
+                    if entry.qid != keep
+                ]
+                if not candidates:
+                    break
+                victim = self.policy.victim(candidates, now)
                 del self._entries_disk[victim.qid]
                 self._disk_bytes_used -= victim.size_bytes
                 self.counters.disk_evictions += 1
                 doomed.append(victim.qid)
         for qid in doomed:
-            self._disk_store.delete(qid)
+            self._store.delete(qid)
             self._emit(
                 qid, [CacheEvent("evict", tier="disk", detail="capacity")]
             )
@@ -594,7 +618,7 @@ class TieredZoomInCache:
             if dropped is not None:
                 self.counters.invalidations += 1
         if dropped == SOURCE_DISK:
-            self._disk_store.delete(qid)
+            self._store.delete(qid)
         if dropped is not None:
             self._emit(qid, [CacheEvent("evict", detail="invalidated")])
 
@@ -608,7 +632,13 @@ class TieredZoomInCache:
             self._pinned_bytes = 0
             self._memory_bytes_used = 0
             self._disk_bytes_used = 0
-        self._disk_store.clear()
+        if self._disk_store is not None:
+            self._disk_store.clear()
+
+    def close(self) -> None:
+        """Close the disk tier's store, if there is one."""
+        if self._disk_store is not None:
+            self._disk_store.close()
 
     # -- single-flight -------------------------------------------------
 

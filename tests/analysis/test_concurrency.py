@@ -112,7 +112,6 @@ DOCUMENTED_INVENTORY = {
     "pool.stats": ("lock", False),
     "pool.write": ("rlock", True),
     "serve.stats": ("lock", False),
-    "zoomin.cache": ("rlock", False),
     "zoomin.flight_stripe": ("lock", False),
     "zoomin.store_txn": ("lock", True),
     "zoomin.tiered": ("lock", False),

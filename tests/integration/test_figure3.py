@@ -93,8 +93,8 @@ class TestFigure3b:
 class TestCaching:
     def test_zoomins_after_query_hit_the_cache(self, figure3):
         notes, result = figure3
-        before = notes.cache.stats.hits
+        before = notes.cache.counters.memory_hits
         notes.zoomin(
             f"ZOOMIN REFERENCE QID = {result.qid} ON NaiveBayesClass INDEX 2"
         )
-        assert notes.cache.stats.hits == before + 1
+        assert notes.cache.counters.memory_hits == before + 1

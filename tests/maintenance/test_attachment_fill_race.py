@@ -71,6 +71,36 @@ def test_write_during_fetch_shows_in_the_next_query(monkeypatch, read):
         notes.close()
 
 
+def test_read_between_summary_update_and_store_delete_is_not_cached(monkeypatch):
+    """``delete_annotation`` invalidates the attachments LRU before the
+    store delete; a read landing in between must not leave the pre-delete
+    map cached for the next query."""
+    notes = InsightNotes()
+    try:
+        notes.create_table("birds", ["name", "weight"])
+        notes.insert("birds", ("Swan Goose", 3.2))
+        first, second = notes.add_annotations(
+            [
+                {"text": "observed feeding at dawn", "table": "birds", "row_id": 1},
+                {"text": "shows symptoms of avian pox", "table": "birds", "row_id": 1},
+            ]
+        )
+        store_delete = notes.annotations.delete
+
+        def delete_after_a_read(annotation_id):
+            notes.manager.attachments_for_rows("birds", [1])
+            store_delete(annotation_id)
+
+        monkeypatch.setattr(notes.annotations, "delete", delete_after_a_read)
+        notes.delete_annotation(second.annotation_id)
+        stored = notes.annotations.attachments_for_rows("birds", [1])[1]
+        assert set(stored) == {first.annotation_id}  # premise
+        (row,) = notes.query("SELECT name, weight FROM birds").tuples
+        assert set(row.annotation_ids()) == {first.annotation_id}
+    finally:
+        notes.close()
+
+
 def test_invalidation_stamps_stay_bounded():
     notes = InsightNotes()
     try:

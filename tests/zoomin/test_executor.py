@@ -100,5 +100,5 @@ class TestCacheInteraction:
         result = stack.query("SELECT C1 FROM T")
         for _ in range(3):
             stack.zoomin(f"ZOOMIN REFERENCE QID = {result.qid} ON NB INDEX 1")
-        entry = stack.cache._entries[result.qid]
+        entry = stack.cache._entries_memory[result.qid]
         assert entry.access_count == 3

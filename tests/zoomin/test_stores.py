@@ -5,8 +5,9 @@ import pytest
 from repro import InsightNotes
 from repro.engine.results import QueryResult
 from repro.summaries.registry import default_registry
-from repro.zoomin.cache import ZoomInCache
-from repro.zoomin.stores import MemoryResultStore, SQLiteResultStore
+from repro.zoomin.admission import AdmitAll
+from repro.zoomin.stores import SQLiteResultStore
+from repro.zoomin.tiered import TieredZoomInCache
 from tests.conftest import TRAINING
 
 
@@ -121,9 +122,10 @@ class TestSQLiteResultStore:
         notes.close()
 
     def test_memory_store_charges_size_estimate(self, populated):
-        store = MemoryResultStore()
+        cache = TieredZoomInCache(disk_bytes=0, admission=AdmitAll())
         result = populated.query("SELECT name FROM birds")
-        assert store.put(result) == result.size_estimate()
+        cache.put(result)
+        assert cache.memory_bytes_used == result.size_estimate()
 
 
 class TestStoredMetadata:
@@ -196,25 +198,34 @@ class TestStoredMetadata:
         store.close()
 
 
+def _disk_only_cache(store: SQLiteResultStore, disk_bytes: int):
+    """``memory_bytes=1`` admits every result straight to the store."""
+    return TieredZoomInCache(
+        memory_bytes=1,
+        disk_bytes=disk_bytes,
+        disk_store=store,
+        admission=AdmitAll(),
+    )
+
+
 class TestCacheWithDiskStore:
     def test_cache_over_sqlite_store(self, populated):
-        cache = ZoomInCache(
-            capacity_bytes=10**6,
-            store=SQLiteResultStore(registry=populated.catalog.registry),
+        cache = _disk_only_cache(
+            SQLiteResultStore(registry=populated.catalog.registry), 10**6
         )
         result = populated.query("SELECT name FROM birds")
-        assert cache.put(result)
+        assert cache.put(result).admitted
         revived = cache.get(result.qid)
         assert revived is not None
         assert revived.rows() == result.rows()
-        assert cache.stats.hits == 1
+        assert cache.counters.disk_hits == 1
 
     def test_eviction_deletes_from_store(self, populated):
         store = SQLiteResultStore(registry=populated.catalog.registry)
         first = populated.query("SELECT name FROM birds")
         single = store.put(first)
         store.delete(first.qid)
-        cache = ZoomInCache(capacity_bytes=int(single * 2.2), store=store)
+        cache = _disk_only_cache(store, int(single * 2.2))
         qids = []
         for _ in range(3):
             result = populated.query("SELECT name FROM birds")
@@ -224,7 +235,7 @@ class TestCacheWithDiskStore:
         assert store.get(qids[0]) is None  # evicted from disk too
 
     def test_session_with_disk_cache(self):
-        notes = InsightNotes(cache_store="disk")
+        notes = InsightNotes(cache_bytes=1, cache_disk_bytes=1 << 20)
         notes.create_table("t", ["v"])
         notes.insert("t", ("x",))
         notes.define_classifier("C", ["a", "b"], [("one", "a"), ("two", "b")])
@@ -233,9 +244,26 @@ class TestCacheWithDiskStore:
         result = notes.query("SELECT v FROM t")
         zoom = notes.zoomin(f"ZOOMIN REFERENCE QID = {result.qid} ON C INDEX 1")
         assert zoom.cache_hit
+        assert zoom.source == "disk"
         assert zoom.annotation_count() == 1
         notes.close()
 
+    def test_cache_store_is_the_disk_tier_file(self, tmp_path):
+        path = str(tmp_path / "cache.db")
+        notes = InsightNotes(cache_bytes=1, cache_store=path, cache_disk_bytes=1 << 20)
+        notes.create_table("t", ["v"])
+        notes.insert("t", ("x",))
+        qid = notes.query("SELECT v FROM t").qid
+        notes.close()
+        reopened = SQLiteResultStore(path)
+        assert [meta.qid for meta in reopened.load_metadata()] == [qid]
+        reopened.close()
+        with pytest.raises(ValueError, match="cache_disk_bytes"):
+            InsightNotes(cache_store=path)
+
     def test_memory_store_is_default(self):
-        cache = ZoomInCache()
-        assert isinstance(cache.store, MemoryResultStore)
+        notes = InsightNotes()
+        assert notes.cache.disk_bytes == 0
+        assert notes.cache.stats_json()["policy"] == "RCO"
+        assert isinstance(notes.cache.admission, AdmitAll)
+        notes.close()

@@ -1,4 +1,5 @@
-"""Tests for the production two-tier zoom-in cache."""
+"""Tests for the zoom-in cache with a disk tier: tiers, admission,
+warm restart, single-flight and trace events."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from repro.engine.results import QueryResult
 from repro.model.tuple import AnnotatedTuple
 from repro.zoomin.admission import AdmitAll, CostAwareAdmission
+from repro.zoomin.policies import SizePolicy
 from repro.zoomin.stores import SQLiteResultStore
 from repro.zoomin.tiered import TieredZoomInCache
 from repro.zoomin.tracing import TraceStore
@@ -77,6 +79,25 @@ class TestTierMechanics:
         # Promotion displaced something; both tiers stay within budget.
         assert cache.memory_bytes_used <= cache.memory_bytes
         assert len(cache.resident_qids()) == 3
+
+    def test_promoted_entry_is_never_its_own_victim(self):
+        big = make_result(101, rows=8)
+        cache = make_cache(
+            memory=int(big.size_estimate() * 1.2), policy=SizePolicy()
+        )
+        cache.put(big)
+        cache.put(make_result(102))  # SIZE demotes the big entry
+        assert cache.tier_of(101) == "disk"
+        assert cache.get(101) is not None
+        assert cache.tier_of(101) == "memory"
+        assert cache.tier_of(102) == "disk"
+
+    def test_disk_tier_records_the_plan_cost(self):
+        store = SQLiteResultStore()
+        cache = make_cache(memory=1, disk_store=store)
+        cache.put(make_result(101, cost=500.0))
+        (meta,) = store.load_metadata()
+        assert meta.cost == 3  # plan_cost, not the price admission saw
 
     def test_disk_tier_evicts_past_its_budget(self):
         one = make_result(101).size_estimate()
@@ -174,6 +195,24 @@ class TestCostAwareAdmissionIntegration:
         assert cache.tier_of(102) == "disk"
         got = cache.get(102)
         assert got is not None and got.rows() == big.rows()
+
+    def test_disk_hit_keeps_an_oversize_for_memory_entry_on_disk(self):
+        result = make_result(101, cost=500.0)
+        store = SQLiteResultStore()
+        cache = make_cache(
+            memory=int(result.size_estimate() * 1.5),
+            admission=self.admission(),
+            disk_store=store,
+        )
+        cache.put(result)
+        assert cache.tier_of(101) == "disk"  # premise: over max_entry_fraction
+        got = cache.get(101)
+        assert got is not None and got.rows() == result.rows()
+        assert cache.counters.disk_hits == 1
+        assert cache.counters.promotions == 0
+        assert cache.tier_of(101) == "disk"
+        (meta,) = store.load_metadata()
+        assert meta.access_count == 1  # the hit was still recorded
 
     def test_oversize_for_both_tiers_rejected(self):
         cache = make_cache(memory=256, disk=512, admission=self.admission())

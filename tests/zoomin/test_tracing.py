@@ -109,11 +109,25 @@ class TestSessionTracing:
         notes.close()
 
     def test_single_tier_session_traces_too(self):
-        notes = self._populated()  # prototype cache, no disk tier
+        notes = self._populated()  # default cache, no disk tier
         result = notes.query("SELECT name FROM birds")
         trace = notes.trace(result.qid)
         assert trace is not None and trace["qid"] == result.qid
+        assert [e["kind"] for e in trace["cache_events"]] == ["admit"]
         assert notes.trace(424242) is None
+        notes.close()
+
+    def test_disk_less_eviction_lands_on_the_victims_trace(self):
+        probe = self._populated()
+        one = probe.query("SELECT name FROM birds").size_estimate()
+        probe.close()
+        notes = self._populated(cache_bytes=int(one * 1.5))
+        first = notes.query("SELECT name FROM birds")
+        notes.query("SELECT name FROM birds")  # evicts the first result
+        assert notes.trace(first.qid)["cache_events"] == [
+            {"kind": "admit", "tier": "memory", "detail": "admitted"},
+            {"kind": "evict", "tier": "memory", "detail": "capacity"},
+        ]
         notes.close()
 
     def test_trace_history_is_bounded(self):
