@@ -26,6 +26,9 @@ The registry records every name ever constructed in this process
 (:func:`lock_inventory`), which the tests pin against the documented
 inventory so a new lock cannot appear without a name and a review of
 its place in the acquisition order.
+
+:class:`InvalidationStamps` keeps a cache fill from caching what a
+write invalidated while the fill's fetch ran with the lock released.
 """
 
 from __future__ import annotations
@@ -159,7 +162,47 @@ def held_locks() -> tuple[str, ...]:
     return current_state().held_names()
 
 
+class InvalidationStamps:
+    """Per-key invalidation stamps for a probe → fetch → fill cache.
+
+    A reader takes :meth:`snapshot` while probing under the cache's lock
+    and, after fetching with the lock released, fills only keys that are
+    :meth:`fillable`.  Every invalidation ticks a clock and stamps its
+    key; when ``capacity`` stamps are held they are forgotten wholesale
+    and every older snapshot is refused.  Call it under the cache's lock.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._clock = 0
+        self._floor = 0
+        self.stamps: dict[Any, int] = {}
+
+    def snapshot(self) -> int:
+        """The clock a reader presents to :meth:`fillable` after its fetch."""
+        return self._clock
+
+    def invalidate(self, key: Any) -> None:
+        """Stamp ``key``: fills of it from older snapshots are refused."""
+        if len(self.stamps) >= self.capacity:
+            self.invalidate_all()
+        else:
+            self._clock += 1
+        self.stamps[key] = self._clock
+
+    def invalidate_all(self) -> None:
+        """Refuse every fill whose snapshot predates this call."""
+        self._clock += 1
+        self.stamps.clear()
+        self._floor = self._clock
+
+    def fillable(self, key: Any, snapshot: int) -> bool:
+        """True when no invalidation of ``key`` postdates ``snapshot``."""
+        return snapshot >= self._floor and self.stamps.get(key, 0) <= snapshot
+
+
 __all__ = [
+    "InvalidationStamps",
     "LockLike",
     "LockSpec",
     "held_locks",

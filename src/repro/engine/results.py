@@ -1,10 +1,13 @@
 """Query results and the QID registry.
 
-Every executed query gets a unique **QID** and its materialized result is
-kept in a registry, because zoom-in commands reference results by QID
-("ZoomIn Reference QID = 101 ...").  The registry is bounded; evicted
-results can still be recomputed by re-running their plan, which is exactly
-the cost the zoom-in cache (RCO policy) exists to avoid.
+Every executed query gets a unique **QID**, because zoom-in commands
+reference results by QID ("ZoomIn Reference QID = 101 ...").  The
+materialized result lives only in the zoom-in cache
+(:class:`~repro.zoomin.tiered.TieredZoomInCache`), where results compete
+for a byte budget under RCO.  The :class:`ResultRegistry` keeps just each
+qid's prepared plan and SQL, so a qid the cache does not hold is
+answered by re-executing its plan — exactly the cost the cache exists to
+avoid.
 """
 
 from __future__ import annotations
@@ -12,11 +15,14 @@ from __future__ import annotations
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.concurrency import make_lock
 from repro.errors import UnknownQueryIdError
 from repro.model.tuple import AnnotatedTuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.plan import PlanNode
 
 
 @dataclass
@@ -169,45 +175,28 @@ class QueryResult:
         )
 
 
-class ResultRegistry:
-    """Bounded QID -> :class:`QueryResult` map, oldest-first eviction.
+class PlanRecord(NamedTuple):
+    """What re-executes a query: its prepared logical plan and SQL."""
 
-    Results must remain addressable long enough for a user to issue
-    zoom-in commands against them; the bounds keep an interactive session
-    from accumulating every result ever produced.  Two bounds apply:
-    ``capacity`` caps the result *count* (the original FIFO behaviour)
-    and ``capacity_bytes`` caps the total estimated footprint using
-    :meth:`QueryResult.size_estimate` — the RCO overhead factor — so a
-    handful of huge results can no longer pin an unbounded number of
-    bytes behind a generous count limit.  The newest result is always
-    retained, even when it alone exceeds the byte budget (evicting the
-    result just handed to the caller would be absurd).
+    plan: PlanNode
+    sql: str
+
+
+class ResultRegistry:
+    """QID allocator plus a bounded qid -> :class:`PlanRecord` map.
+
+    Holds no results.  ``capacity`` caps the number of recorded plans,
+    oldest-first; a qid past the bound that the zoom-in cache no longer
+    holds is gone (:class:`UnknownQueryIdError`).
     """
 
-    #: Default byte budget: 64 MiB of estimated result footprint.
-    DEFAULT_CAPACITY_BYTES = 64 * 1024 * 1024
-
-    def __init__(
-        self,
-        capacity: int = 256,
-        capacity_bytes: int = DEFAULT_CAPACITY_BYTES,
-    ) -> None:
+    def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if capacity_bytes < 1:
-            raise ValueError(
-                f"capacity_bytes must be >= 1, got {capacity_bytes}"
-            )
         self._capacity = capacity
-        self._capacity_bytes = capacity_bytes
-        self._results: OrderedDict[int, QueryResult] = OrderedDict()
-        #: qid -> size_estimate() at registration time.  Sizes are
-        #: captured once — results are immutable after execution — so
-        #: eviction never re-walks every stored tuple.
-        self._sizes: dict[int, int] = {}
-        self._total_bytes = 0
+        self._plans: OrderedDict[int, PlanRecord] = OrderedDict()
         # itertools.count.__next__ is atomic under the GIL, but the
-        # registry map and its eviction loop are not — one lock for both.
+        # record map and its eviction loop are not.
         self._lock = make_lock("engine.results")
         self._qid_counter = itertools.count(101)  # matches the paper's QID=101
 
@@ -215,48 +204,26 @@ class ResultRegistry:
         """Allocate the next query id."""
         return next(self._qid_counter)
 
-    @property
-    def total_bytes(self) -> int:
-        """Current estimated footprint of every retained result."""
+    def register(self, qid: int, plan: PlanNode, sql: str = "") -> None:
+        """Record how to re-execute ``qid``, evicting oldest-first."""
         with self._lock:
-            return self._total_bytes
+            self._plans.pop(qid, None)
+            self._plans[qid] = PlanRecord(plan, sql)
+            while len(self._plans) > self._capacity:
+                self._plans.popitem(last=False)
 
-    def register(self, result: QueryResult) -> None:
-        """Store a result, evicting oldest-first past either bound."""
-        size = result.size_estimate()
-        with self._lock:
-            evicted = self._results.pop(result.qid, None)
-            if evicted is not None:
-                self._total_bytes -= self._sizes.pop(result.qid, 0)
-            self._results[result.qid] = result
-            self._sizes[result.qid] = size
-            self._total_bytes += size
-            while len(self._results) > 1 and (
-                len(self._results) > self._capacity
-                or self._total_bytes > self._capacity_bytes
-            ):
-                qid, _ = self._results.popitem(last=False)
-                self._total_bytes -= self._sizes.pop(qid, 0)
-
-    def get(self, qid: int) -> QueryResult:
-        """Look up a result or raise :class:`UnknownQueryIdError`."""
+    def plan(self, qid: int) -> PlanRecord:
+        """The recorded plan of ``qid`` or raise :class:`UnknownQueryIdError`."""
         with self._lock:
             try:
-                return self._results[qid]
+                return self._plans[qid]
             except KeyError:
                 raise UnknownQueryIdError(qid) from None
 
     def __contains__(self, qid: int) -> bool:
         with self._lock:
-            return qid in self._results
+            return qid in self._plans
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._results)
-
-    def latest(self) -> QueryResult | None:
-        """The most recently registered result, if any."""
-        with self._lock:
-            if not self._results:
-                return None
-            return next(reversed(self._results.values()))
+            return len(self._plans)

@@ -75,7 +75,9 @@ class InsightNotes:
         Budget of the zoom-in result cache's memory tier
         (:class:`~repro.zoomin.tiered.TieredZoomInCache`, RCO-ranked,
         admitting every result that fits), charged against each
-        result's estimated in-memory size.
+        result's estimated in-memory size.  The cache is the only holder
+        of results; a qid it does not hold is re-executed from its
+        recorded plan (see :meth:`result`).
     cache_store:
         SQLite file of the cache's disk tier; ``None`` keeps the tier in
         a private in-memory SQLite database.  Needs ``cache_disk_bytes``.
@@ -170,7 +172,7 @@ class InsightNotes:
             trace_store=self.traces,
         )
         self._zoomin = ZoomInExecutor(
-            self.annotations, self.cache, recompute=self.results.get
+            self.annotations, self.cache, recompute=self._reexecute
         )
 
     # -- lifecycle ---------------------------------------------------
@@ -572,6 +574,32 @@ class InsightNotes:
     ) -> QueryResult:
         """Run a programmatically built logical plan."""
         prepared = self.planner.prepare(logical)
+        result = self._run_prepared(
+            prepared, self.results.next_qid(), sql, trace=trace
+        )
+        self.results.register(result.qid, prepared, sql)
+        # Trace first so the cache's admission/eviction events land on
+        # an already-open trace.
+        self.traces.record_query(result)
+        self.cache.put(result)
+        return result
+
+    def result(self, qid: int) -> QueryResult:
+        """Query ``qid``'s cached snapshot, or else its recorded plan
+        re-executed on the current data; ``UnknownQueryIdError`` when
+        neither exists."""
+        result, _ = self.cache.get_or_compute(qid, lambda: self._reexecute(qid))
+        return result
+
+    def _reexecute(self, qid: int) -> QueryResult:
+        """Run ``qid``'s recorded plan again, under the same qid."""
+        record = self.results.plan(qid)
+        return self._run_prepared(record.plan, qid, record.sql)
+
+    def _run_prepared(
+        self, prepared: PlanNode, qid: int, sql: str, trace: bool = False
+    ) -> QueryResult:
+        """Execute a prepared plan, feed back statistics, price it."""
         tracer = Tracer() if trace else None
         stats = ExecutionStats()
         operator = self.planner.physical(prepared, tracer, stats)
@@ -580,11 +608,7 @@ class InsightNotes:
         sharded = self.db.shard_count > 1
         before = self.db.backend.counters() if sharded else {}
         result = execute_plan(
-            operator,
-            qid=self.results.next_qid(),
-            sql=sql,
-            logical=prepared,
-            stats=stats,
+            operator, qid=qid, sql=sql, logical=prepared, stats=stats
         )
         if sharded:
             after = self.db.backend.counters()
@@ -603,11 +627,6 @@ class InsightNotes:
         # feedback lands (so the estimate sees the freshest row counts);
         # the cache's admission policy and the trace both read it.
         result.cost_estimate = self.planner.cost_model.estimate(prepared).cost
-        self.results.register(result)
-        # Trace first so the cache's admission/eviction events land on
-        # an already-open trace.
-        self.traces.record_query(result)
-        self.cache.put(result)
         return result
 
     def execute(self, statement: str) -> Any:

@@ -108,7 +108,7 @@ class ZoomInError(InsightNotesError):
 
 
 class UnknownQueryIdError(ZoomInError):
-    """The referenced QID is not present in the result registry."""
+    """The referenced QID is neither cached nor in the plan record."""
 
     def __init__(self, qid: int) -> None:
         super().__init__(f"unknown query id: {qid}")

@@ -27,7 +27,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable
 
-from repro.engine.results import QueryResult
 from repro.engine.session import InsightNotes
 from repro.errors import InsightNotesError
 from repro.gate.render import (
@@ -46,7 +45,6 @@ class GateREPL:
     def __init__(self, session: InsightNotes | None = None) -> None:
         self.session = session or InsightNotes()
         self.trace_enabled = False
-        self._last_result: QueryResult | None = None
 
     # -- command dispatch -------------------------------------------------
 
@@ -72,7 +70,6 @@ class GateREPL:
 
     def _run_sql(self, sql: str) -> str:
         result = self.session.query(sql, trace=self.trace_enabled)
-        self._last_result = result
         output = render_result(result)
         if self.trace_enabled and result.trace is not None:
             output += "\n\nUnder the hood:\n" + render_trace(result.trace)
@@ -201,7 +198,7 @@ class GateREPL:
         if len(args) != 2 or not all(a.isdigit() for a in args):
             return "usage: \\summaries <qid> <row#>"
         qid, position = int(args[0]), int(args[1])
-        result = self.session.results.get(qid)
+        result = self.session.result(qid)
         if not 0 <= position < len(result.tuples):
             return f"error: row# must be in [0, {len(result.tuples) - 1}]"
         return render_summaries(result.tuples[position])

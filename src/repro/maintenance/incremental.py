@@ -44,7 +44,7 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.concurrency import make_rlock
+from repro.concurrency import InvalidationStamps, make_rlock
 from repro.maintenance.invariants import ContributionCache
 from repro.model.annotation import Annotation
 from repro.model.cell import CellRef
@@ -156,14 +156,8 @@ class SummaryManager:
         self._attachments: OrderedDict[
             tuple[str, int], dict[int, frozenset[str]]
         ] = OrderedDict()
-        # Invalidation stamps that keep a read's fill from caching a map
-        # a concurrent write made stale: every invalidation ticks the
-        # clock and stamps its row; a fill is refused for rows stamped
-        # after the reader's snapshot, or when the snapshot predates the
-        # floor (the last time the bounded stamp table was cleared).
-        self._invalidation_clock = 0
-        self._invalidation_floor = 0
-        self._invalidated_at: dict[tuple[str, int], int] = {}
+        # Keep a read's fill from caching a map a concurrent write made stale.
+        self._attachment_stamps = InvalidationStamps(attachments_cache_size)
 
     # -- object cache ---------------------------------------------------
 
@@ -252,7 +246,7 @@ class SummaryManager:
         result: dict[int, dict[int, frozenset[str]]] = {}
         missing: list[int] = []
         with self._lock:
-            snapshot = self._invalidation_clock
+            snapshot = self._attachment_stamps.snapshot()
             for row_id in row_ids:
                 key = (table, row_id)
                 cached = self._attachments.get(key)
@@ -264,10 +258,9 @@ class SummaryManager:
         if missing:
             fetched = self._annotations.attachments_for_rows(table, missing)
             with self._lock:
-                fresh = snapshot >= self._invalidation_floor
                 for row_id, attachments in fetched.items():
                     key = (table, row_id)
-                    if fresh and self._invalidated_at.get(key, 0) <= snapshot:
+                    if self._attachment_stamps.fillable(key, snapshot):
                         self._attachments[key] = attachments
                     result[row_id] = attachments
                 self._evict_attachments_if_needed()
@@ -287,13 +280,7 @@ class SummaryManager:
     def _invalidate_attachments(self, table: str, row_id: int) -> None:
         key = (table, row_id)
         self._attachments.pop(key, None)
-        self._invalidation_clock += 1
-        if len(self._invalidated_at) >= self._attachments_cache_size:
-            # Bound the stamps: forget them all and refuse every fill
-            # whose snapshot predates the forgetting.
-            self._invalidated_at.clear()
-            self._invalidation_floor = self._invalidation_clock
-        self._invalidated_at[key] = self._invalidation_clock
+        self._attachment_stamps.invalidate(key)
 
     # -- write path -------------------------------------------------------
 

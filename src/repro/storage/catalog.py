@@ -24,7 +24,8 @@ and the live-instance map are guarded by fine-grained locks, and the lock
 is never held across SQL — cache probe under the lock, fetch on a pooled
 read connection outside it, fill under the lock again.  Two threads
 missing the same key may both fetch (a benign double-read); the second
-fill simply overwrites the first with an equal object.
+fill simply overwrites the first with an equal object.  A fill skips
+keys a write invalidated while the fetch was in flight.
 
 Under a sharded backend the instance definitions and links stay on the
 meta shard (small, metadata-shaped), while summary state is co-located
@@ -39,7 +40,7 @@ import json
 from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
 
-from repro.concurrency import make_lock
+from repro.concurrency import InvalidationStamps, make_lock
 from repro.errors import (
     CatalogError,
     DuplicateInstanceError,
@@ -94,8 +95,9 @@ class SummaryCatalog:
         self._object_cache: OrderedDict[tuple[str, str, int], object] = (
             OrderedDict()
         )
-        # Guards the LRU and its hit/miss counters; never held across SQL.
+        # Guards the LRU, its stamps and counters; never held across SQL.
         self._cache_lock = make_lock("catalog.cache")
+        self._cache_stamps = InvalidationStamps(max(object_cache_size, 1))
         self.cache_hits = 0
         self.cache_misses = 0
         for shard in range(database.shard_count):
@@ -168,29 +170,10 @@ class SummaryCatalog:
                 "capacity": self._object_cache_size,
             }
 
-    def _cache_get(self, key: tuple[str, str, int]) -> object:
-        """Cached object, ``_ABSENT``, or None when not cached."""
-        with self._cache_lock:
-            cached = self._object_cache.get(key)
-            if cached is not None:
-                self._object_cache.move_to_end(key)
-                self.cache_hits += 1
-            else:
-                self.cache_misses += 1
-            return cached
-
-    def _cache_put(self, key: tuple[str, str, int], value: object) -> None:
-        with self._cache_lock:
-            if self._object_cache_size == 0:
-                return
-            self._object_cache[key] = value
-            self._object_cache.move_to_end(key)
-            while len(self._object_cache) > self._object_cache_size:
-                self._object_cache.popitem(last=False)
-
     def _cache_invalidate(self, key: tuple[str, str, int]) -> None:
         with self._cache_lock:
             self._object_cache.pop(key, None)
+            self._cache_stamps.invalidate(key)
 
     def _cache_invalidate_pair(
         self, instance_name: str, table_name: str | None
@@ -205,6 +188,7 @@ class SummaryCatalog:
             ]
             for key in stale:
                 del self._object_cache[key]
+            self._cache_stamps.invalidate_all()
 
     # -- instance definitions -----------------------------------------
 
@@ -495,30 +479,16 @@ class SummaryCatalog:
     ) -> SummaryObject | None:
         """Load one row's summary object, or None when never summarized.
 
-        Served from the deserialization cache when possible.  Callers
+        A one-pair :meth:`load_objects_for_table`, so it shares that
+        method's cache and fill rules.  Callers
         must not mutate the returned object in place — take a
         :meth:`~repro.summaries.base.SummaryObject.for_query` copy (the
         scan path) or :meth:`~repro.summaries.base.SummaryObject.copy`
         before mutating.
         """
-        key = (instance_name, table_name, row_id)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return None if cached is _ABSENT else cached  # type: ignore[return-value]
-        row = self._db.fetch_one(
-            f"""
-            SELECT object FROM {_STATE_TABLE}
-            WHERE instance_name = ? AND table_name = ? AND row_id = ?
-            """,
-            (instance_name, table_name, row_id),
-            shard=self._db.backend.shard_of(table_name, row_id),
-        )
-        if row is None:
-            self._cache_put(key, _ABSENT)
-            return None
-        obj = self._deserialize_object(row[0], instance_name, table_name, row_id)
-        self._cache_put(key, obj)
-        return obj
+        return self.load_objects_for_table(
+            (instance_name,), table_name, (row_id,)
+        ).get((instance_name, row_id))
 
     def load_objects_for_table(
         self,
@@ -540,6 +510,7 @@ class SummaryCatalog:
         # One lock window for the whole block's probes — per-pair
         # locking would acquire the lock instances x rows times.
         with self._cache_lock:
+            snapshot = self._cache_stamps.snapshot()
             cache = self._object_cache
             for instance_name in instance_names:
                 for row_id in row_ids:
@@ -558,6 +529,7 @@ class SummaryCatalog:
         instance_marks = placeholders(len(fetch_instances))
         # Route each row to its home shard: one query per (shard, chunk).
         backend = self._db.backend
+        fetched: dict[tuple[str, int], object] = {}
         rows_by_shard: dict[int, list[int]] = {}
         for row_id in sorted({pair[1] for pair in missing}):
             rows_by_shard.setdefault(
@@ -583,13 +555,20 @@ class SummaryCatalog:
                     if pair not in missing:
                         continue  # over-fetched: the pair was already cached
                     missing.discard(pair)
-                    obj = self._deserialize_object(
+                    result[pair] = fetched[pair] = self._deserialize_object(
                         payload, instance_name, table_name, row_id
                     )
-                    self._cache_put((instance_name, table_name, row_id), obj)
-                    result[pair] = obj
-        for instance_name, row_id in missing:  # never summarized
-            self._cache_put((instance_name, table_name, row_id), _ABSENT)
+        fetched.update(dict.fromkeys(missing, _ABSENT))  # never summarized
+        # Fill, skipping keys a write invalidated since the probe.
+        with self._cache_lock:
+            if self._object_cache_size:
+                for (instance_name, row_id), value in fetched.items():
+                    key = (instance_name, table_name, row_id)
+                    if self._cache_stamps.fillable(key, snapshot):
+                        cache[key] = value
+                        cache.move_to_end(key)
+                while len(cache) > self._object_cache_size:
+                    cache.popitem(last=False)
         return result
 
     def _deserialize_object(

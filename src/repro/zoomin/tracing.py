@@ -97,8 +97,8 @@ class TraceStore:
     """Bounded, thread-safe ring of recent :class:`QueryTrace` records.
 
     ``capacity`` traces are retained, oldest-first eviction — the same
-    shape as the result registry, so a qid still addressable for
-    zoom-ins usually still has its trace.  All mutation is under one
+    shape as the result registry's plan record, so a qid still
+    addressable for zoom-ins usually still has its trace.  All mutation is under one
     lock; everything recorded is plain in-memory bookkeeping (no SQL,
     no I/O), so holding it is cheap.
     """

@@ -88,8 +88,8 @@ class TestObjectCacheAliasing:
             notes.close()
 
     def test_registered_results_survive_later_queries(self, write_cache):
-        # The result registry keeps live tuples for ZOOMIN recompute;
-        # their summary objects must not alias later queries' copies.
+        # The zoom-in cache keeps live tuples of resident results; their
+        # summary objects must not alias later queries' copies.
         notes = build_session(write_cache)
         try:
             held = notes.query(FULL_SQL)

@@ -116,8 +116,9 @@ class TestQuerying:
 
     def test_results_are_registered_and_cached(self, birds_session):
         result = birds_session.query("SELECT name FROM birds")
-        assert birds_session.results.get(result.qid) is result
+        assert result.qid in birds_session.results  # the plan record
         assert result.qid in birds_session.cache
+        assert birds_session.result(result.qid) is result
 
     def test_summary_predicate_query(self, birds_session):
         result = birds_session.query(

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import InsightNotes
+from repro.engine.results import ResultRegistry
 from repro.gate.cli import GateREPL, run_script
 
 
@@ -59,6 +61,26 @@ class TestCommands:
         assert added.startswith("annotation #")
         text = repl.handle("\\summaries 101 0")
         assert "Classifier-Type" in text
+
+    def test_summaries_reexecutes_a_result_the_cache_does_not_hold(self):
+        gate = GateREPL(InsightNotes(cache_bytes=1))
+        try:
+            gate.handle("\\demo")
+            gate.handle("SELECT name, species FROM birds")
+            assert 101 not in gate.session.cache
+            text = gate.handle("\\summaries 101 0")
+            assert "Classifier-Type" in text
+            assert gate.session.cache.counters.recomputes == 1
+        finally:
+            gate.session.close()
+
+    def test_summaries_past_the_plan_record_is_an_error_line(self, repl):
+        repl.session.results = ResultRegistry(capacity=1)
+        repl.handle("\\demo")
+        repl.handle("SELECT name FROM birds")
+        repl.handle("SELECT species FROM birds")
+        repl.session.cache.invalidate(101)
+        assert repl.handle("\\summaries 101 0") == "error: unknown query id: 101"
 
     def test_annotate_with_columns(self, repl):
         repl.handle("\\demo")

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro import InsightNotes
+from repro.concurrency import InvalidationStamps
 
 
 def _session() -> InsightNotes:
@@ -107,10 +108,10 @@ def test_invalidation_stamps_stay_bounded():
         notes.create_table("birds", ["name"])
         rows = notes.insert_many("birds", [(f"b{i}",) for i in range(40)])
         manager = notes.manager
-        manager._attachments_cache_size = 8
+        manager._attachment_stamps = InvalidationStamps(capacity=8)
         for row_id in rows:
             notes.add_annotation("a note", table="birds", row_id=row_id)
-        assert len(manager._invalidated_at) <= 8
+        assert len(manager._attachment_stamps.stamps) <= 8
         # A fill after the stamps were forgotten still caches fresh maps.
         manager.attachments_for_rows("birds", rows[:3])
         assert ("birds", rows[0]) in manager._attachments

@@ -2,13 +2,15 @@
 
 The tiered cache's contract is that it is *purely* a performance
 optimization: a zoom-in served from the memory tier, served from the
-disk tier (through JSON serialization and back), or recomputed from
-scratch after an invalidation must produce exactly the same expansion —
-same matches, same components, same raw annotation text — down to the
+disk tier (through JSON serialization and back), or recomputed after an
+invalidation — a real re-execution of the recorded plan, merges
+included — must produce exactly the same expansion over unchanged data:
+same matches, same components, same raw annotation text, down to the
 serialized byte.  Hypothesis drives the comparison across all five
-summary types against two identically-populated sessions, one whose
-results live in the memory tier and one whose memory budget of a single
-byte forces every result through the disk tier.
+summary types and over a selection, a GROUP BY and a self-join, against
+two identically-populated sessions, one whose results live in the
+memory tier and one whose memory budget of a single byte forces every
+result through the disk tier.
 
 The annotation corpus deliberately includes non-ASCII text so the
 disk tier's UTF-8 round trip is part of what byte-identity covers.
@@ -109,6 +111,16 @@ def canonical(zoom) -> bytes:
     ).encode("utf-8")
 
 
+#: A selection, a GROUP BY and a self-join: the last two merge summaries,
+#: so the recomputed leg re-runs the merges and must reproduce them.
+_QUERIES = [
+    "SELECT name, weight FROM birds WHERE weight > {threshold}",
+    "SELECT species, COUNT(*) FROM birds WHERE weight > {threshold} "
+    "GROUP BY species",
+    "SELECT a.name, b.name FROM birds a JOIN birds b "
+    "ON a.species = b.species WHERE a.weight > {threshold}",
+]
+
 _SETTINGS = settings(
     max_examples=25,
     deadline=None,
@@ -130,14 +142,15 @@ class TestCacheByteIdentity:
 
     @given(
         instance=st.sampled_from(_INSTANCES),
+        template=st.sampled_from(_QUERIES),
         threshold=st.integers(min_value=0, max_value=8),
     )
     @_SETTINGS
     def test_tiers_and_recompute_agree_to_the_byte(
-        self, pair, instance, threshold
+        self, pair, instance, template, threshold
     ):
         mem, disk = pair
-        sql = f"SELECT name, weight FROM birds WHERE weight > {threshold}"
+        sql = template.format(threshold=threshold)
         payloads = []
         for notes, tier in ((mem, "memory"), (disk, "disk")):
             qid = notes.query(sql).qid
