@@ -26,6 +26,7 @@ from __future__ import annotations
 import abc
 import time
 from collections.abc import Iterator, Sequence
+from functools import partial
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -38,7 +39,7 @@ from repro.engine.expressions import (
 )
 from repro.engine.plan import Aggregate
 from repro.errors import ExpressionError, PlanError
-from repro.model.tuple import AnnotatedTuple
+from repro.model.tuple import AnnotatedTuple, ColumnSetMemo, rewrite_attachments
 from repro.summaries.base import SummaryInstance, SummaryObject
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -228,6 +229,16 @@ def merge_attachments(
     return merged
 
 
+def _map_columns(
+    column_map: dict[str, set[str]], columns: frozenset[str]
+) -> frozenset[str]:
+    """Output columns the input ``columns`` survive as under ``column_map``."""
+    outputs: set[str] = set()
+    for column in columns:
+        outputs |= column_map.get(column, set())
+    return frozenset(outputs)
+
+
 def _extend_equivalent(
     attachments: dict[int, frozenset[str]],
     equivalent: tuple[tuple[str, str], ...],
@@ -403,9 +414,13 @@ class HydrateOperator(Operator):
     The operator is *projection-aware*: when it sits above a Project, its
     schema is the kept column subset, so attachments are narrowed to the
     surviving columns and fully-dropped annotations have their effects
-    removed from the (copy-on-write) summary objects — the same outcome
-    as hydrating at the scan and projecting afterwards, at a fraction of
-    the fetches.
+    removed from the summary objects — the same outcome as hydrating at
+    the scan and projecting afterwards, at a fraction of the fetches.
+    Narrowing qualifies and filters each *distinct* stored column set
+    once per block, not once per annotation per row.  The removal runs
+    on the objects' copy-on-write ``for_query()`` views and pays only for
+    what it drops: a view none of whose groups or sets the dropped ids
+    hit stays shared, and a hit one replaces just those parts.
     """
 
     def __init__(
@@ -484,20 +499,21 @@ class HydrateOperator(Operator):
         stats = self._stats
         if stats is not None:
             stats.count_hydrated_block(len(block))
-        kept = set(self.schema)
+        kept = frozenset(self.schema)
+        prefix = f"{self.alias}."
+
+        def narrow(columns: frozenset[str]) -> frozenset[str]:
+            return frozenset(
+                qualified
+                for column in columns
+                if (qualified := prefix + column) in kept
+            )
+
+        memo: ColumnSetMemo = {}
         for row, row_id in zip(block, row_ids):
-            attachments: dict[int, frozenset[str]] = {}
-            dropped: set[int] = set()
-            for annotation_id, columns in attachment_maps.get(row_id, {}).items():
-                surviving = frozenset(
-                    qualified
-                    for column in columns
-                    if (qualified := f"{self.alias}.{column}") in kept
-                )
-                if surviving:
-                    attachments[annotation_id] = surviving
-                else:
-                    dropped.add(annotation_id)
+            attachments, dropped = rewrite_attachments(
+                attachment_maps.get(row_id, {}), narrow, memo
+            )
             summaries: dict[str, SummaryObject] = {}
             for instance in instances:
                 obj = objects.get((instance.name, row_id))
@@ -565,10 +581,11 @@ class ProjectOperator(Operator):
         self._child = child
 
     def rows(self) -> Iterator[AnnotatedTuple]:
-        kept = self.schema
+        kept = frozenset(self.schema)
+        memo: ColumnSetMemo = {}
         for row in self._child:
             row.values = tuple(row.values[index] for index in self._indices)
-            dropped = row.restrict_attachments(kept)
+            dropped = row.restrict_attachments(kept, memo)
             if dropped:
                 for obj in row.summaries.values():
                     obj.remove_annotations(dropped)
@@ -604,26 +621,20 @@ class ComputeOperator(Operator):
             for reference in expression.referenced_columns():
                 index = resolve_column(child.schema, reference)
                 self._column_map.setdefault(child.schema[index], set()).add(name)
+        self._outputs_of = partial(_map_columns, self._column_map)
 
     def rows(self) -> Iterator[AnnotatedTuple]:
         child_schema = self._child.schema
+        memo: ColumnSetMemo = {}
         for row in self._child:
             values = tuple(
                 expression.evaluate(row, child_schema)
                 for expression, _name in self._items
             )
-            remapped: dict[int, frozenset[str]] = {}
-            dropped: set[int] = set()
-            for annotation_id, columns in row.attachments.items():
-                outputs: set[str] = set()
-                for column in columns:
-                    outputs |= self._column_map.get(column, set())
-                if outputs:
-                    remapped[annotation_id] = frozenset(outputs)
-                else:
-                    dropped.add(annotation_id)
             row.values = values
-            row.attachments = remapped
+            row.attachments, dropped = rewrite_attachments(
+                row.attachments, self._outputs_of, memo
+            )
             if dropped:
                 for obj in row.summaries.values():
                     obj.remove_annotations(dropped)
@@ -825,20 +836,18 @@ class GroupByOperator(Operator):
             if aggregate_index is not None:
                 input_name = child.schema[aggregate_index]
                 self._column_map.setdefault(input_name, set()).add(output_name)
+        self._outputs_of = partial(_map_columns, self._column_map)
 
-    def _remap_member(self, row: AnnotatedTuple) -> AnnotatedTuple:
-        """Apply projection semantics onto the group-by output columns."""
-        remapped: dict[int, frozenset[str]] = {}
-        dropped: set[int] = set()
-        for annotation_id, columns in row.attachments.items():
-            outputs: set[str] = set()
-            for column in columns:
-                outputs |= self._column_map.get(column, set())
-            if outputs:
-                remapped[annotation_id] = frozenset(outputs)
-            else:
-                dropped.add(annotation_id)
-        row.attachments = remapped
+    def _remap_member(
+        self, row: AnnotatedTuple, memo: ColumnSetMemo
+    ) -> AnnotatedTuple:
+        """Apply projection semantics onto the group-by output columns.
+
+        ``memo`` is shared by every member of one ``rows()`` pass.
+        """
+        row.attachments, dropped = rewrite_attachments(
+            row.attachments, self._outputs_of, memo
+        )
         if dropped:
             for obj in row.summaries.values():
                 obj.remove_annotations(dropped)
@@ -878,8 +887,9 @@ class GroupByOperator(Operator):
             if self.having is None or self.having.evaluate(out, self.schema):
                 yield out
             return
+        memo: ColumnSetMemo = {}
         for key, members in groups.items():
-            members = [self._remap_member(member) for member in members]
+            members = [self._remap_member(member, memo) for member in members]
             summaries = members[0].summaries
             attachments = members[0].attachments
             source_rows = members[0].source_rows

@@ -440,9 +440,7 @@ class SummaryManager:
                     if isinstance(obj, ClusterSummary):
                         # The centroid moved; re-elect representatives from
                         # the heavy state kept at maintenance time.
-                        for group in obj.groups:
-                            if group.vectors is not None:
-                                group.rerank()
+                        obj.rerank_groups()
                     self._mark_updated((instance.name, table, row_id))
                     updated += 1
             return updated

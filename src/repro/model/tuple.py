@@ -18,12 +18,42 @@ without ever fetching the raw annotation text.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.summaries.base import SummaryObject
+
+#: Memo of a column-set rewrite: input column set -> rewritten set.
+ColumnSetMemo = dict[frozenset[str], frozenset[str]]
+
+
+def rewrite_attachments(
+    attachments: Mapping[int, frozenset[str]],
+    rewrite: Callable[[frozenset[str]], frozenset[str]],
+    memo: ColumnSetMemo,
+) -> tuple[dict[int, frozenset[str]], set[int]]:
+    """Rewrite every annotation's column set; return the map and dropped ids.
+
+    ``rewrite`` runs once per *distinct* column set: ``memo`` keeps its
+    results, so a caller that rewrites many rows through one function
+    passes the same memo to every call (and a fresh one per function).
+    Annotations whose rewritten set is empty are left out of the map and
+    their ids returned — the caller removes their effect from the summary
+    objects.
+    """
+    rewritten: dict[int, frozenset[str]] = {}
+    dropped: set[int] = set()
+    for annotation_id, columns in attachments.items():
+        result = memo.get(columns)
+        if result is None:
+            result = memo[columns] = rewrite(columns)
+        if result:
+            rewritten[annotation_id] = result
+        else:
+            dropped.add(annotation_id)
+    return rewritten, dropped
 
 
 @dataclass(slots=True)
@@ -74,24 +104,27 @@ class AnnotatedTuple:
             if cols & wanted
         }
 
-    def restrict_attachments(self, kept_columns: Sequence[str]) -> set[int]:
+    def restrict_attachments(
+        self,
+        kept_columns: Collection[str],
+        memo: ColumnSetMemo | None = None,
+    ) -> set[int]:
         """Narrow attachments to ``kept_columns``; return dropped ids.
 
         For every annotation, the attachment set is intersected with the
         kept columns.  Annotations whose intersection is empty are removed
         from the map and their ids returned — the caller is responsible for
-        removing their effect from the summary objects.
+        removing their effect from the summary objects.  A caller
+        narrowing many rows to the same columns passes them as a frozenset
+        and shares one ``memo`` across the rows, so each distinct column
+        set is intersected once.
         """
-        kept = set(kept_columns)
-        dropped: set[int] = set()
-        narrowed: dict[int, frozenset[str]] = {}
-        for annotation_id, cols in self.attachments.items():
-            remaining = cols & kept
-            if remaining:
-                narrowed[annotation_id] = frozenset(remaining)
-            else:
-                dropped.add(annotation_id)
-        self.attachments = narrowed
+        kept = frozenset(kept_columns)  # no copy when already a frozenset
+        self.attachments, dropped = rewrite_attachments(
+            self.attachments,
+            lambda columns: columns & kept,
+            {} if memo is None else memo,
+        )
         return dropped
 
     def rename_attachment_columns(self, mapping: Mapping[str, str]) -> None:

@@ -24,9 +24,35 @@ import abc
 import copy as _copylib
 from collections.abc import Mapping, Sequence, Set
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, TypeVar
 
 from repro.model.annotation import Annotation
+
+
+_Key = TypeVar("_Key")
+
+
+def sets_without(
+    sets: dict[_Key, set[int]], ids: Set[int], keep_empty: bool
+) -> dict[_Key, set[int]] | None:
+    """``sets`` with ``ids`` removed, rebuilding only the sets they hit.
+
+    Returns None when no set is hit.  Otherwise returns a new mapping, in
+    the same key order, that shares every untouched set with ``sets`` and
+    holds a new set for each hit one; emptied sets drop out unless
+    ``keep_empty``.  The projection of the set-valued summary types.
+    """
+    hit = [key for key, members in sets.items() if not members.isdisjoint(ids)]
+    if not hit:
+        return None
+    result = dict(sets)
+    for key in hit:
+        survivors = result[key] - ids
+        if survivors or keep_empty:
+            result[key] = survivors
+        else:
+            del result[key]
+    return result
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,11 +116,19 @@ class SummaryObject(abc.ABC):
     #: Summary type name this object belongs to; set by subclasses.
     type_name: str = ""
 
-    #: Opt-in flag for copy-on-write sharing.  Types that set it True must
-    #: call :meth:`_ensure_owned` at the top of every in-place mutator; in
-    #: exchange, :meth:`for_query` becomes an O(1) alias instead of a deep
-    #: copy, so unfiltered scans stop copying every summary.  The built-in
-    #: types all opt in; third-party types keep the safe deep-copy default.
+    #: Opt-in flag for copy-on-write sharing.  In exchange for it,
+    #: :meth:`for_query` becomes an O(1) alias instead of a deep copy, so
+    #: unfiltered scans stop copying every summary.  A type that sets it
+    #: True takes on one rule: never mutate a container another alias may
+    #: still see.  A mutator either calls :meth:`_ensure_owned` first
+    #: (which unshares the whole payload), or rebinds only the containers
+    #: it changes to new ones it built and leaves the others shared — the
+    #: projection path does this, so ``remove_annotations`` costs what it
+    #: drops, not the object's size.  A mutator of the second kind keeps
+    #: ``_shared`` set while any untouched container is still shared; the
+    #: next whole-object mutator's :meth:`_ensure_owned` then still
+    #: unshares.  The built-in types all opt in; third-party types keep
+    #: the safe deep-copy default.
     copy_on_write: bool = False
 
     def __init__(self, instance_name: str) -> None:
@@ -175,11 +209,14 @@ class SummaryObject(abc.ABC):
     def share(self) -> "SummaryObject":
         """O(1) alias of this object sharing its payload copy-on-write.
 
-        Both the alias and the original are flagged shared; whichever side
-        mutates first replaces its payload with an owned copy (through
-        :meth:`_ensure_owned`), so the other side observes a stable
+        Both the alias and the original are flagged shared, and each side
+        gives up ownership of every container in the payload, including
+        ones it built since it was last shared.  From then on a mutation
+        on either side rebinds what it changes (a projection replaces only
+        the groups or sets it hits) or unshares the whole payload through
+        :meth:`_ensure_owned`, so the other side observes a stable
         snapshot.  Only meaningful for :attr:`copy_on_write` types — their
-        mutators carry the unshare guard.
+        mutators carry the guard.
         """
         clone = _copylib.copy(self)
         clone._shared = True
@@ -187,7 +224,13 @@ class SummaryObject(abc.ABC):
         return clone
 
     def _ensure_owned(self) -> None:
-        """Unshare before an in-place mutation (no-op when not shared)."""
+        """Unshare the whole payload before an in-place mutation.
+
+        A no-op when not shared.  A partial projection leaves the object
+        flagged shared (its untouched containers are still seen by other
+        aliases), so this call still copies them before a mutator such as
+        ``fold_many`` writes into any container.
+        """
         if self._shared:
             self._materialize()
             self._shared = False

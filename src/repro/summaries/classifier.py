@@ -28,6 +28,7 @@ from repro.summaries.base import (
     SummaryObject,
     SummaryType,
     ZoomComponent,
+    sets_without,
 )
 from repro.summaries.naive_bayes import NaiveBayesClassifier
 from repro.text.tokenize import Tokenizer
@@ -139,9 +140,14 @@ class ClassifierSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        self._ensure_owned()
-        for members in self._members.values():
-            members -= ids
+        """Drop ``ids`` by replacing only the label sets they hit.
+
+        Untouched label sets stay shared with other aliases, so the object
+        stays flagged shared; nothing changes when no label set is hit.
+        """
+        members = sets_without(self._members, ids, keep_empty=True)
+        if members is not None:
+            self._members = members
 
     def _materialize(self) -> None:
         self._members = {label: set(ids) for label, ids in self._members.items()}

@@ -138,13 +138,33 @@ class ClusterGroup:
         )
 
     def drop_members(self, ids: Set[int]) -> None:
-        """Remove members by id, keeping ranking order for survivors."""
-        self.member_ids -= ids
-        self.ranking = [i for i in self.ranking if i not in ids]
-        for annotation_id in ids:
+        """Remove members by id in place, keeping ranking order for survivors."""
+        gone = self.member_ids & ids
+        self.member_ids -= gone
+        self.ranking = [i for i in self.ranking if i not in gone]
+        for annotation_id in gone:
             self.previews.pop(annotation_id, None)
             if self.vectors is not None:
                 self.vectors.pop(annotation_id, None)
+
+    def without(self, ids: Set[int]) -> "ClusterGroup":
+        """New group of the members outside ``ids``; ``self`` is untouched.
+
+        The survivor containers are built directly rather than through
+        ``__init__``, which would copy each of them once more.
+        """
+        group = ClusterGroup.__new__(ClusterGroup)
+        group.member_ids = self.member_ids - ids
+        group.ranking = [i for i in self.ranking if i not in ids]
+        group.previews = {
+            i: preview for i, preview in self.previews.items() if i not in ids
+        }
+        group.vectors = (
+            None
+            if self.vectors is None
+            else {i: vector for i, vector in self.vectors.items() if i not in ids}
+        )
+        return group
 
     def overlaps(self, other: "ClusterGroup") -> bool:
         """True when the two groups share at least one member."""
@@ -167,6 +187,9 @@ class ClusterSummary(SummaryObject):
         self.preview_limit = preview_limit
         # Cached light (query-stripped) view; invalidated by mutation.
         self._query_view: "ClusterSummary | None" = None
+        # Groups this object built since it was last shared.  While shared,
+        # only these may be mutated in place; share() empties the set.
+        self._owned_groups: frozenset[ClusterGroup] = frozenset()
 
     # -- inspection ----------------------------------------------------
 
@@ -272,14 +295,65 @@ class ClusterSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
+        """Drop ``ids``, paying only for the groups they hit.
+
+        Groups disjoint from ``ids`` stay as they are — shared with the
+        other aliases when this object is shared — and when no group is
+        hit the object is not touched at all.  A hit group is mutated in
+        place only if this object owns it: the object is unshared, or it
+        built the group since it was last shared.  Any other hit group is
+        replaced by a new one holding its survivors, which this object
+        then owns, so a second projection of the same row (Hydrate, then
+        a group-by's remap) does not copy the group again.  Emptied groups
+        drop out; the order of the others is kept.  ``_shared`` is left
+        set, because untouched groups may still be seen by other aliases.
+        """
+        hits = [not group.member_ids.isdisjoint(ids) for group in self.groups]
+        if not any(hits):
+            return
+        self._query_view = None
+        shared = self._shared
+        owned = self._owned_groups
+        survivors: list[ClusterGroup] = []
+        built: list[ClusterGroup] = []
+        for group, hit in zip(self.groups, hits):
+            if hit:
+                if shared and group not in owned:
+                    group = group.without(ids)
+                    built.append(group)
+                else:
+                    group.drop_members(ids)
+                if not group.member_ids:
+                    continue
+            survivors.append(group)
+        self.groups = survivors
+        if shared:
+            self._owned_groups = owned.union(built).intersection(survivors)
+
+    def share(self) -> "ClusterSummary":
+        # Sharing revokes group ownership on both sides (the alias starts
+        # from a copy of this object's attributes).
+        self._owned_groups = frozenset()
+        return super().share()  # type: ignore[return-value]
+
+    def rerank_groups(self) -> None:
+        """Re-elect every group's representatives from the heavy state.
+
+        Maintenance-only (groups without vectors are left as they are).
+        Unshares first: reranking rewrites every group in place.
+        """
         self._ensure_owned()
         self._query_view = None
         for group in self.groups:
-            group.drop_members(ids)
-        self.groups = [group for group in self.groups if group.member_ids]
+            if group.vectors is not None:
+                group.rerank()
 
     def _materialize(self) -> None:
-        self.groups = [group.copy() for group in self.groups]
+        owned = self._owned_groups
+        self.groups = [
+            group if group in owned else group.copy() for group in self.groups
+        ]
+        self._owned_groups = frozenset()
         self._query_view = None
 
     def merge(self, other: SummaryObject) -> "ClusterSummary":

@@ -163,8 +163,11 @@ class SnippetSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        # Rebinding to a fresh list is inherently copy-on-write safe.
-        self.entries = [e for e in self.entries if e.annotation_id not in ids]
+        entries = [e for e in self.entries if e.annotation_id not in ids]
+        if len(entries) == len(self.entries):
+            return  # nothing dropped: the payload stays shared
+        # A fresh list of immutable entries leaves nothing shared.
+        self.entries = entries
         self._shared = False
 
     def _materialize(self) -> None:

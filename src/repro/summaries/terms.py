@@ -25,6 +25,7 @@ from repro.summaries.base import (
     SummaryObject,
     SummaryType,
     ZoomComponent,
+    sets_without,
 )
 from repro.text.tokenize import Tokenizer
 
@@ -84,11 +85,15 @@ class TermsSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        self._ensure_owned()
-        for term in list(self._members):
-            self._members[term] -= ids
-            if not self._members[term]:
-                del self._members[term]
+        """Drop ``ids`` by replacing only the term sets they hit.
+
+        Untouched term sets stay shared with other aliases, so the object
+        stays flagged shared; nothing changes when no term set is hit.
+        Emptied terms drop out; the order of the others is kept.
+        """
+        members = sets_without(self._members, ids, keep_empty=False)
+        if members is not None:
+            self._members = members
 
     def _materialize(self) -> None:
         self._members = {term: set(ids) for term, ids in self._members.items()}

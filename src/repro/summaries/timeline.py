@@ -23,6 +23,7 @@ from repro.summaries.base import (
     SummaryObject,
     SummaryType,
     ZoomComponent,
+    sets_without,
 )
 
 TYPE_NAME = "Timeline"
@@ -92,11 +93,15 @@ class TimelineSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        self._ensure_owned()
-        for bucket in list(self._buckets):
-            self._buckets[bucket] -= ids
-            if not self._buckets[bucket]:
-                del self._buckets[bucket]
+        """Drop ``ids`` by replacing only the bucket sets they hit.
+
+        Untouched buckets stay shared with other aliases, so the object
+        stays flagged shared; nothing changes when no bucket is hit.
+        Emptied buckets drop out; the order of the others is kept.
+        """
+        buckets = sets_without(self._buckets, ids, keep_empty=False)
+        if buckets is not None:
+            self._buckets = buckets
 
     def _materialize(self) -> None:
         self._buckets = {bucket: set(ids) for bucket, ids in self._buckets.items()}

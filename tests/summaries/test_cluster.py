@@ -275,3 +275,49 @@ class TestSerialization:
         components = obj.zoom_components()
         assert [c.index for c in components] == [1, 2]
         assert components[0].annotation_ids == (1,)
+
+
+class TestProjectionOrder:
+    """Pinned projection behaviour: group order is kept, emptied groups
+    drop out, and each representative is re-elected by ranking, falling
+    back to the smallest surviving id once every ranked candidate is
+    gone.  A query view carries only the top ``preview_limit`` ranks, so
+    it falls back where the stored object still finds a ranked member."""
+
+    @staticmethod
+    def make() -> ClusterSummary:
+        obj = ClusterSummary("K", preview_limit=2)
+        obj.groups = [
+            ClusterGroup({1, 2, 3}, ranking=[3, 1, 2], previews={3: "three", 1: "one"}),
+            ClusterGroup({4, 5}, ranking=[5, 4], previews={5: "five"}),
+            ClusterGroup({6, 7, 8, 10}, ranking=[8, 7, 10, 6], previews={8: "eight"}),
+            ClusterGroup({9}, ranking=[9], previews={9: "nine"}),
+        ]
+        return obj
+
+    @pytest.mark.parametrize(
+        "aliased, representatives",
+        [(False, [1, 10, 9]), (True, [1, 6, 9])],
+        ids=["owned", "for_query"],
+    )
+    def test_order_emptied_groups_and_reelection(self, aliased, representatives):
+        obj = self.make()
+        target = obj.for_query() if aliased else obj
+        target.remove_annotations({3, 4, 5, 7, 8})
+        assert [sorted(g.member_ids) for g in target.groups] == [[1, 2], [6, 10], [9]]
+        assert [g.representative for g in target.groups] == representatives
+        assert [g.representative_preview() for g in target.groups] == [
+            "one", None, "nine",
+        ]
+
+    @pytest.mark.parametrize("aliased", [False, True], ids=["owned", "for_query"])
+    def test_split_drop_sets_reach_the_same_state(self, aliased):
+        whole = self.make()
+        whole = whole.for_query() if aliased else whole
+        whole.remove_annotations({3, 4, 5, 7, 8})
+        split = self.make()
+        split = split.for_query() if aliased else split
+        split.remove_annotations({8, 4})
+        split.remove_annotations({7, 3})
+        split.remove_annotations({5})
+        assert split.to_json() == whole.to_json()
