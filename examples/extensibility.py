@@ -53,11 +53,14 @@ class AuthorSummary(SummaryObject):
             if not self.by_author[author]:
                 del self.by_author[author]
 
-    def merge(self, other: SummaryObject) -> "AuthorSummary":
-        assert isinstance(other, AuthorSummary)
+    def merge(self, *others: SummaryObject) -> "AuthorSummary":
+        # The dedup-aware union of self and every counterpart: copy once,
+        # fold each other in.
         merged = self.copy()
-        for author, members in other.by_author.items():
-            merged.by_author.setdefault(author, set()).update(members)
+        for other in others:
+            assert isinstance(other, AuthorSummary)
+            for author, members in other.by_author.items():
+                merged.by_author.setdefault(author, set()).update(members)
         return merged
 
     def zoom_components(self) -> list[ZoomComponent]:

@@ -199,34 +199,56 @@ class Operator(abc.ABC):
             yield row
 
 
-def merge_summary_maps(
-    left: dict[str, SummaryObject], right: dict[str, SummaryObject]
-) -> dict[str, SummaryObject]:
-    """Merge two tuples' summary maps.
+def merge_summary_maps(*maps: dict[str, SummaryObject]) -> dict[str, SummaryObject]:
+    """Merge several tuples' summary maps, one merge per instance.
 
-    Instances present on both sides merge dedup-aware; one-sided instances
-    propagate by copy (ClassBird1/TextSummary1 in Figure 2, which exist
-    only on tuple r).
+    An instance present in more than one map merges dedup-aware in a
+    single ``first.merge(*rest)`` call.  A one-sided instance propagates
+    (ClassBird1/TextSummary1 in Figure 2, which exist only on tuple r) by
+    a copy-on-write alias, or by a copy for types that do not opt in.
+    Instances keep the order in which they first appear.
     """
+    collected: dict[str, list[SummaryObject]] = {}
+    for summaries in maps:
+        for name, obj in summaries.items():
+            collected.setdefault(name, []).append(obj)
     merged: dict[str, SummaryObject] = {}
-    for name, obj in left.items():
-        counterpart = right.get(name)
-        merged[name] = obj.merge(counterpart) if counterpart is not None else obj.copy()
-    for name, obj in right.items():
-        if name not in merged:
-            merged[name] = obj.copy()
+    for name, (first, *rest) in collected.items():
+        if rest:
+            merged[name] = first.merge(*rest)
+        elif first.copy_on_write:
+            merged[name] = first.share()
+        else:
+            merged[name] = first.copy()
     return merged
 
 
-def merge_attachments(
-    left: dict[int, frozenset[str]], right: dict[int, frozenset[str]]
-) -> dict[int, frozenset[str]]:
-    """Union two attachment maps, unioning column sets for shared ids."""
-    merged = dict(left)
-    for annotation_id, columns in right.items():
-        existing = merged.get(annotation_id)
-        merged[annotation_id] = columns if existing is None else existing | columns
+def merge_attachments(*maps: dict[int, frozenset[str]]) -> dict[int, frozenset[str]]:
+    """Union attachment maps, unioning column sets for shared ids."""
+    merged = dict(maps[0])
+    for attachments in maps[1:]:
+        for annotation_id, columns in attachments.items():
+            existing = merged.get(annotation_id)
+            merged[annotation_id] = columns if existing is None else existing | columns
     return merged
+
+
+def merge_rows(
+    rows: list[AnnotatedTuple],
+) -> tuple[dict[str, SummaryObject], dict[int, frozenset[str]], frozenset[tuple[str, int]]]:
+    """Summaries, attachments and provenance of ``rows`` merged as one tuple.
+
+    Every instance merges once however many rows there are; a lone row's
+    maps pass through as they are.
+    """
+    first = rows[0]
+    if len(rows) == 1:
+        return first.summaries, first.attachments, first.source_rows
+    return (
+        merge_summary_maps(*(row.summaries for row in rows)),
+        merge_attachments(*(row.attachments for row in rows)),
+        first.source_rows.union(*(row.source_rows for row in rows[1:])),
+    )
 
 
 def _map_columns(
@@ -890,13 +912,7 @@ class GroupByOperator(Operator):
         memo: ColumnSetMemo = {}
         for key, members in groups.items():
             members = [self._remap_member(member, memo) for member in members]
-            summaries = members[0].summaries
-            attachments = members[0].attachments
-            source_rows = members[0].source_rows
-            for member in members[1:]:
-                summaries = merge_summary_maps(summaries, member.summaries)
-                attachments = merge_attachments(attachments, member.attachments)
-                source_rows = source_rows | member.source_rows
+            summaries, attachments, source_rows = merge_rows(members)
             values = key + tuple(
                 self._aggregate_value(aggregate, index, members)
                 for aggregate, index in zip(self._aggregates, self._agg_indices)
@@ -924,20 +940,13 @@ class DistinctOperator(Operator):
         self._child = child
 
     def rows(self) -> Iterator[AnnotatedTuple]:
-        seen: dict[tuple[Any, ...], AnnotatedTuple] = {}
+        duplicates: dict[tuple[Any, ...], list[AnnotatedTuple]] = {}
         for row in self._child:
-            existing = seen.get(row.values)
-            if existing is None:
-                seen[row.values] = row
-            else:
-                existing.summaries = merge_summary_maps(
-                    existing.summaries, row.summaries
-                )
-                existing.attachments = merge_attachments(
-                    existing.attachments, row.attachments
-                )
-                existing.source_rows = existing.source_rows | row.source_rows
-        yield from seen.values()
+            duplicates.setdefault(row.values, []).append(row)
+        for rows in duplicates.values():
+            first = rows[0]
+            first.summaries, first.attachments, first.source_rows = merge_rows(rows)
+            yield first
 
     def describe(self) -> str:
         return "Distinct"

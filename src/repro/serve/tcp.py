@@ -79,14 +79,20 @@ class TcpAnnotationServer:
             await self._tcp.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, close connections, drain the annotation server."""
+        """Stop accepting, close connections, drain the annotation server.
+
+        The sessions end before the listener is awaited: since Python
+        3.12.1 ``Server.wait_closed()`` also waits for every open
+        connection, so an idle client would otherwise hold it forever.
+        """
         if self._tcp is not None:
             self._tcp.close()
-            await self._tcp.wait_closed()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
+        if self._tcp is not None:
+            await self._tcp.wait_closed()
         await self.server.stop()
 
     # -- connection handling --------------------------------------------
@@ -105,13 +111,6 @@ class TcpAnnotationServer:
                     line = await reader.readline()
                 except (ConnectionResetError, asyncio.LimitOverrunError):
                     break
-                except asyncio.CancelledError:
-                    # stop() cancelling this connection is a normal way
-                    # for the session to end; finishing cleanly (instead
-                    # of staying "cancelled") keeps asyncio's stream
-                    # bookkeeping from logging the cancellation as an
-                    # unhandled error.
-                    break
                 if not line:
                     break
                 if line.strip() == b"":
@@ -125,11 +124,20 @@ class TcpAnnotationServer:
                 )
                 pending.add(request_task)
                 request_task.add_done_callback(pending.discard)
+        except asyncio.CancelledError:
+            # stop() cancelling this connection is a normal way for the
+            # session to end; finishing cleanly (instead of staying
+            # "cancelled") keeps asyncio's stream bookkeeping from logging
+            # the cancellation as an unhandled error.
+            pass
         finally:
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            # The same holds for a cancel that lands while the session is
+            # already closing: it cuts the wait short but does not escape.
+            with contextlib.suppress(asyncio.CancelledError):
+                if pending:
+                    await asyncio.gather(*pending, return_exceptions=True)
             writer.close()
-            with contextlib.suppress(Exception):
+            with contextlib.suppress(Exception, asyncio.CancelledError):
                 await writer.wait_closed()
             self._connections.discard(task)
 

@@ -161,12 +161,22 @@ class SummaryObject(abc.ABC):
         """
 
     @abc.abstractmethod
-    def merge(self, other: "SummaryObject") -> "SummaryObject":
-        """Return the dedup-aware union of ``self`` and ``other``.
+    def merge(self, *others: "SummaryObject") -> "SummaryObject":
+        """Return the dedup-aware union of ``self`` and every one of ``others``.
 
-        Annotations present in both inputs (the same annotation attached to
-        both joined tuples) must be counted once — Figure 2's merge step.
-        Neither input is mutated.
+        Annotations present in several inputs (the same annotation attached
+        to two joined tuples, or to two members of one group) must be
+        counted once — Figure 2's merge step.  The result must equal the
+        left fold ``self.merge(a).merge(b)...``; the engine calls it once
+        per instance per output row with every counterpart at once, so an
+        implementation can merge in one pass instead of copying an
+        accumulator per input.
+
+        No input's content may change.  An input's copy-on-write ownership
+        flags may: a copy-on-write result may hold containers of a shared
+        input uncopied, provided it flags itself shared so that neither side
+        mutates them in place afterwards.  A type with nothing to gain
+        copies ``self`` once and folds every other into the copy.
         """
 
     # -- batch maintenance -----------------------------------------------

@@ -152,19 +152,20 @@ class ClassifierSummary(SummaryObject):
     def _materialize(self) -> None:
         self._members = {label: set(ids) for label, ids in self._members.items()}
 
-    def merge(self, other: SummaryObject) -> "ClassifierSummary":
-        if not isinstance(other, ClassifierSummary):
-            raise TypeError(f"cannot merge ClassifierSummary with {type(other).__name__}")
-        if other.labels != self.labels:
-            raise ValueError(
-                "cannot merge classifier summaries with different label sets: "
-                f"{self.labels} vs {other.labels}"
-            )
+    def merge(self, *others: SummaryObject) -> "ClassifierSummary":
         merged = self.copy()
-        for label, ids in other._members.items():
-            # Set union is exactly the dedup-aware merge of Figure 2: an
-            # annotation attached to both join inputs is counted once.
-            merged._members[label] |= ids
+        for other in others:
+            if not isinstance(other, ClassifierSummary):
+                raise TypeError(f"cannot merge ClassifierSummary with {type(other).__name__}")
+            if other.labels != self.labels:
+                raise ValueError(
+                    "cannot merge classifier summaries with different label sets: "
+                    f"{self.labels} vs {other.labels}"
+                )
+            for label, ids in other._members.items():
+                # Set union is exactly the dedup-aware merge of Figure 2: an
+                # annotation attached to both join inputs is counted once.
+                merged._members[label] |= ids
         return merged
 
     # -- zoom-in ---------------------------------------------------------

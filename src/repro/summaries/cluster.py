@@ -166,10 +166,6 @@ class ClusterGroup:
         )
         return group
 
-    def overlaps(self, other: "ClusterGroup") -> bool:
-        """True when the two groups share at least one member."""
-        return bool(self.member_ids & other.member_ids)
-
 
 class ClusterSummary(SummaryObject):
     """Per-tuple cluster summary: an ordered list of groups."""
@@ -356,35 +352,76 @@ class ClusterSummary(SummaryObject):
         self._owned_groups = frozenset()
         self._query_view = None
 
-    def merge(self, other: SummaryObject) -> "ClusterSummary":
-        """Dedup-aware merge, Figure 2 semantics.
+    def merge(self, *others: SummaryObject) -> "ClusterSummary":
+        """Dedup-aware merge, Figure 2 semantics, in one pass over all inputs.
 
-        Groups from the two sides that share a member (the same annotation
-        attached to both joined tuples) are transitively combined; disjoint
-        groups propagate unchanged.
+        Groups that share a member (the same annotation attached to two
+        merged tuples) are transitively combined; disjoint groups propagate
+        unchanged.  The result equals the left fold
+        ``self.merge(a).merge(b)...``.
+
+        The pass visits every input's groups in order and keeps an
+        annotation id -> slot map.  A group that touches no slot takes a
+        new one.  A group that touches slots is combined into the lowest of
+        them, and every other touched slot is then combined into it in
+        slot order and emptied.  Those are the combinations, in the same
+        order, that a pairwise fold makes when it combines each group
+        into the first overlapping one and re-coalesces, so group order,
+        rankings, previews and reranks equal the fold's, while the cost
+        follows the sizes of the groups rather than their number squared.
+
+        A group reaches the result uncopied when nobody may later mutate
+        it in place: its input is shared and did not build it.  Any other
+        group is copied when the result first takes or changes it.  A
+        result holding uncopied groups is itself flagged shared and owns
+        only the groups it built (DESIGN §6).
         """
-        if not isinstance(other, ClusterSummary):
-            raise TypeError(f"cannot merge ClusterSummary with {type(other).__name__}")
-        pool = [group.copy() for group in self.groups] + [
-            group.copy() for group in other.groups
-        ]
-        merged: list[ClusterGroup] = []
-        for group in pool:
-            absorbed = False
-            for existing in merged:
-                if existing.overlaps(group):
-                    _combine_into(existing, group)
-                    absorbed = True
-                    break
-            if absorbed:
-                # The combination may have created new transitive overlaps.
-                merged = _coalesce(merged)
-            else:
-                merged.append(group)
+        inputs = [self]
+        for other in others:
+            if not isinstance(other, ClusterSummary):
+                raise TypeError(
+                    f"cannot merge ClusterSummary with {type(other).__name__}"
+                )
+            inputs.append(other)
+        slots: list[ClusterGroup | None] = []
+        slot_of: dict[int, int] = {}
+        placed = slot_of.keys()
+        built: set[ClusterGroup] = set()
+        for source in inputs:
+            shared = source._shared
+            owned = source._owned_groups
+            for group in source.groups:
+                if placed.isdisjoint(group.member_ids):
+                    if not shared or group in owned:
+                        group = group.copy()
+                        built.add(group)
+                    slot_of.update(dict.fromkeys(group.member_ids, len(slots)))
+                    slots.append(group)
+                    continue
+                touched = sorted({slot_of[i] for i in group.member_ids if i in slot_of})
+                slot = touched[0]
+                target = slots[slot]
+                assert target is not None
+                if target not in built:
+                    target = target.copy()
+                    built.add(target)
+                    slots[slot] = target
+                _combine_into(target, group)
+                slot_of.update(dict.fromkeys(group.member_ids, slot))
+                for other_slot in touched[1:]:
+                    absorbed = slots[other_slot]
+                    assert absorbed is not None
+                    _combine_into(target, absorbed)
+                    slot_of.update(dict.fromkeys(absorbed.member_ids, slot))
+                    slots[other_slot] = None
         result = ClusterSummary(
-            self.instance_name, max(self.preview_limit, other.preview_limit)
+            self.instance_name, max(source.preview_limit for source in inputs)
         )
-        result.groups = merged
+        result.groups = [group for group in slots if group is not None]
+        owned_groups = built.intersection(result.groups)
+        if len(owned_groups) < len(result.groups):
+            result._shared = True
+            result._owned_groups = frozenset(owned_groups)
         return result
 
     # -- zoom-in ---------------------------------------------------------
@@ -515,24 +552,6 @@ def _combine_into(target: ClusterGroup, source: ClusterGroup) -> None:
         target.rerank()
     else:
         target.vectors = None
-
-
-def _coalesce(groups: list[ClusterGroup]) -> list[ClusterGroup]:
-    """Repeatedly combine overlapping groups until all are disjoint."""
-    result: list[ClusterGroup] = []
-    for group in groups:
-        target = None
-        for existing in result:
-            if existing.overlaps(group):
-                target = existing
-                break
-        if target is None:
-            result.append(group)
-        else:
-            _combine_into(target, group)
-    if len(result) != len(groups):
-        return _coalesce(result)
-    return result
 
 
 class ClusterInstance(SummaryInstance):

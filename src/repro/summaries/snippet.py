@@ -173,12 +173,13 @@ class SnippetSummary(SummaryObject):
     def _materialize(self) -> None:
         self.entries = list(self.entries)
 
-    def merge(self, other: SummaryObject) -> "SnippetSummary":
-        if not isinstance(other, SnippetSummary):
-            raise TypeError(f"cannot merge SnippetSummary with {type(other).__name__}")
+    def merge(self, *others: SummaryObject) -> "SnippetSummary":
         merged = self.copy()
-        for entry in other.entries:
-            merged.add_entry(entry)  # add_entry dedups by annotation id
+        for other in others:
+            if not isinstance(other, SnippetSummary):
+                raise TypeError(f"cannot merge SnippetSummary with {type(other).__name__}")
+            for entry in other.entries:
+                merged.add_entry(entry)  # add_entry dedups by annotation id
         return merged
 
     # -- zoom-in ---------------------------------------------------------

@@ -98,13 +98,14 @@ class TermsSummary(SummaryObject):
     def _materialize(self) -> None:
         self._members = {term: set(ids) for term, ids in self._members.items()}
 
-    def merge(self, other: SummaryObject) -> "TermsSummary":
-        if not isinstance(other, TermsSummary):
-            raise TypeError(f"cannot merge TermsSummary with {type(other).__name__}")
+    def merge(self, *others: SummaryObject) -> "TermsSummary":
         merged = self.copy()
-        merged.top_k = max(self.top_k, other.top_k)
-        for term, ids in other._members.items():
-            merged._members.setdefault(term, set()).update(ids)
+        for other in others:
+            if not isinstance(other, TermsSummary):
+                raise TypeError(f"cannot merge TermsSummary with {type(other).__name__}")
+            merged.top_k = max(merged.top_k, other.top_k)
+            for term, ids in other._members.items():
+                merged._members.setdefault(term, set()).update(ids)
         return merged
 
     # -- zoom-in ---------------------------------------------------------

@@ -106,19 +106,20 @@ class TimelineSummary(SummaryObject):
     def _materialize(self) -> None:
         self._buckets = {bucket: set(ids) for bucket, ids in self._buckets.items()}
 
-    def merge(self, other: SummaryObject) -> "TimelineSummary":
-        if not isinstance(other, TimelineSummary):
-            raise TypeError(
-                f"cannot merge TimelineSummary with {type(other).__name__}"
-            )
-        if other.bucket_seconds != self.bucket_seconds:
-            raise ValueError(
-                "cannot merge timelines with different bucket widths: "
-                f"{self.bucket_seconds} vs {other.bucket_seconds}"
-            )
+    def merge(self, *others: SummaryObject) -> "TimelineSummary":
         merged = self.copy()
-        for bucket, ids in other._buckets.items():
-            merged._buckets.setdefault(bucket, set()).update(ids)
+        for other in others:
+            if not isinstance(other, TimelineSummary):
+                raise TypeError(
+                    f"cannot merge TimelineSummary with {type(other).__name__}"
+                )
+            if other.bucket_seconds != self.bucket_seconds:
+                raise ValueError(
+                    "cannot merge timelines with different bucket widths: "
+                    f"{self.bucket_seconds} vs {other.bucket_seconds}"
+                )
+            for bucket, ids in other._buckets.items():
+                merged._buckets.setdefault(bucket, set()).update(ids)
         return merged
 
     # -- zoom-in ---------------------------------------------------------

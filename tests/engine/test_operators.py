@@ -248,6 +248,54 @@ class TestGroupBy:
         assert row.values == (2.0, 1, 4)
 
 
+    def test_each_instance_merges_once_per_output_row(self, monkeypatch):
+        # Twelve rows in three groups of four, every row annotated under
+        # three instances: the group-by makes one k-way merge call per
+        # instance per output row, not one pairwise call per member.
+        from repro.summaries.cluster import ClusterSummary
+        from repro.summaries.snippet import SnippetSummary
+
+        calls: list[tuple[str, int]] = []
+
+        def spy(cls):
+            merge = cls.merge
+
+            def counted(self, *others):
+                calls.append((self.instance_name, len(others)))
+                return merge(self, *others)
+
+            monkeypatch.setattr(cls, "merge", counted)
+
+        with InsightNotes() as notes:
+            notes.create_table("R", ["k", "v"])
+            notes.define_classifier("C", ["Behavior", "Disease"], TRAINING)
+            notes.define_cluster("K")
+            notes.define_snippet("S")
+            for name in ("C", "K", "S"):
+                notes.link(name, "R")
+            for row_id in range(1, 13):
+                notes.insert("R", (row_id % 3, row_id))
+                notes.add_annotation(
+                    f"observed feeding on stonewort, visit {row_id}",
+                    table="R", row_id=row_id, columns=["k"],
+                )
+            for cls in (ClassifierSummary, ClusterSummary, SnippetSummary):
+                spy(cls)
+            rows = list(
+                GroupByOperator(
+                    scan(notes, "R", "r"), keys=["r.k"],
+                    aggregates=[Aggregate("count", None)],
+                )
+            )
+        assert [row.values[1] for row in rows] == [4, 4, 4]
+        assert sorted(calls) == [(name, 3) for name in "CKS" for _ in range(3)]
+        for row in rows:
+            assert row.summaries["C"].count("Behavior") + row.summaries[
+                "C"
+            ].count("Disease") == 4
+            assert sum(row.summaries["K"].group_sizes()) == 4
+
+
 class TestDistinct:
     def test_merges_duplicate_summaries(self, stack):
         projected = ProjectOperator(scan(stack, "R", "r"), ["r.a"])
@@ -257,6 +305,27 @@ class TestDistinct:
         merged = next(row for row in rows if row.values == (1,))
         # Rows 1 and 2 of R both have a=1; row 1's Behavior note survives.
         assert merged.summaries["C"].count("Behavior") == 1
+
+
+    def test_duplicates_merge_once_per_output_row(self, stack, monkeypatch):
+        stack.insert("R", (1, 9, "again"))
+        stack.add_annotation("observed nesting by the reeds",
+                             table="R", row_id=4, columns=["a"])
+        calls: list[int] = []
+        merge = ClassifierSummary.merge
+
+        def counted(self, *others):
+            calls.append(len(others))
+            return merge(self, *others)
+
+        monkeypatch.setattr(ClassifierSummary, "merge", counted)
+        projected = ProjectOperator(scan(stack, "R", "r"), ["r.a"])
+        rows = list(DistinctOperator(projected))
+        assert sorted(row.values for row in rows) == [(1,), (4,)]
+        # Rows 1, 2 and 4 share a=1: one merge of three objects.
+        assert calls == [2]
+        merged = next(row for row in rows if row.values == (1,))
+        assert merged.summaries["C"].count("Behavior") == 2
 
 
 class TestSortLimitUnion:

@@ -189,6 +189,28 @@ def test_stop_closes_listener_and_drains_annotation_server(tmp_path):
     run(scenario())
 
 
+def test_stop_returns_with_an_idle_client_connected():
+    # Since Python 3.12.1 Server.wait_closed() also waits for the open
+    # connections, so stop() must end the sessions before it waits.
+    async def scenario():
+        tcp = await started_tcp()
+        host, port = tcp.address
+        reader, writer = await asyncio.open_connection(host, port)
+        assert (await request(writer, reader, {"op": "ping", "id": 0}))[
+            "result"
+        ]["pong"]
+        sessions = set(tcp._connections)
+        assert sessions
+        await asyncio.wait_for(tcp.stop(), 5)
+        # The sessions ended cleanly, not as cancelled tasks, and the
+        # client sees the server close its side.
+        assert all(task.done() and not task.cancelled() for task in sessions)
+        assert await asyncio.wait_for(reader.read(), 5) == b""
+        writer.close()
+
+    run(scenario())
+
+
 def test_cli_parser_defaults():
     from repro.serve.__main__ import build_parser
 

@@ -358,3 +358,144 @@ class TestProjectionTouchesOnlyWhatItDrops:
         alias.rerank_groups()
         assert obj.groups[0].ranking == [3, 1, 2]
         assert alias.groups[0].ranking != [3, 1, 2]
+
+
+# -- merge: what reaches a result uncopied, and who may mutate it ------------
+
+
+@pytest.mark.parametrize("type_name", BUILT_IN)
+class TestMergeIsolation:
+    """A merge result may hold an input's containers uncopied; mutating
+    the result or any input afterwards must leave every other holder's
+    ``to_json`` as it was."""
+
+    def build(self, type_name):
+        instance = make_instance(type_name)
+        left = instance.new_object()
+        fold(instance, left, *range(1, 7))
+        right = instance.new_object()
+        fold(instance, right, *range(4, 10))  # 4-6 sit on both sides
+        projected = left.share()
+        projected.remove_annotations({2})
+        holders = {
+            "left": left,
+            "right": right,
+            "left_alias": left.share(),
+            "right_alias": right.share(),
+            "projected": projected,
+            "owned": instance.new_object(),
+        }
+        fold(instance, holders["owned"], 2, 8, 10)
+        holders["merged"] = holders["left_alias"].merge(
+            holders["right_alias"], holders["projected"], holders["owned"]
+        )
+        return instance, holders
+
+    def assert_others_unchanged(self, holders, mutated, mutate):
+        before = {name: obj.to_json() for name, obj in holders.items()}
+        mutate(holders[mutated])
+        for name, obj in holders.items():
+            if name != mutated:
+                assert obj.to_json() == before[name], name
+
+    def test_the_merge_itself_changes_no_input(self, type_name):
+        instance = make_instance(type_name)
+        left = instance.new_object()
+        fold(instance, left, *range(1, 7))
+        right = instance.new_object()
+        fold(instance, right, *range(4, 10))
+        before = (left.to_json(), right.to_json())
+        merged = left.merge(right.share(), left.share())
+        assert (left.to_json(), right.to_json()) == before
+        assert merged.annotation_ids() == frozenset(range(1, 10))
+
+    @pytest.mark.parametrize(
+        "mutated", ["merged", "left_alias", "right_alias", "projected", "owned"]
+    )
+    def test_projection(self, type_name, mutated):
+        _instance, holders = self.build(type_name)
+        self.assert_others_unchanged(
+            holders, mutated, lambda obj: obj.remove_annotations({1, 5, 8})
+        )
+
+    @pytest.mark.parametrize(
+        "mutated", ["merged", "left_alias", "right_alias", "projected", "owned"]
+    )
+    def test_fold_many(self, type_name, mutated):
+        instance, holders = self.build(type_name)
+        self.assert_others_unchanged(
+            holders, mutated, lambda obj: fold(instance, obj, 11, 13, 14)
+        )
+
+    @pytest.mark.parametrize(
+        "mutated", ["merged", "left_alias", "right_alias", "projected", "owned"]
+    )
+    def test_delete_path(self, type_name, mutated):
+        # For clusters this includes rerank_groups on every group.
+        _instance, holders = self.build(type_name)
+        self.assert_others_unchanged(holders, mutated, lambda obj: delete(obj, 5))
+
+
+def disjoint_view(first_id: int, group_count: int) -> ClusterSummary:
+    """A query view of ``group_count`` three-member groups from ``first_id``."""
+    obj = ClusterSummary("K")
+    for index in range(group_count):
+        members = [first_id + 3 * index + offset for offset in range(3)]
+        obj.groups.append(
+            ClusterGroup(
+                member_ids=set(members),
+                ranking=members,
+                previews={members[0]: f"p{members[0]}"},
+            )
+        )
+    return obj.for_query()
+
+
+class TestMergeCopiesOnlyWhatItCombines:
+    def test_disjoint_shared_aliases_merge_without_copying_a_group(self):
+        left = disjoint_view(1, 3)
+        right = disjoint_view(100, 2)
+        merged = left.merge(right)
+        inputs = left.groups + right.groups
+        assert len(merged.groups) == 5
+        assert all(
+            mine is theirs for mine, theirs in zip(merged.groups, inputs)
+        )
+        # Holding uncopied groups, the result is itself a shared alias.
+        assert merged._shared
+        assert merged._owned_groups == frozenset()
+
+    def test_only_the_combined_group_is_new(self):
+        left = disjoint_view(1, 3)  # groups {1,2,3} {4,5,6} {7,8,9}
+        right = ClusterSummary("K")
+        right.groups = [
+            ClusterGroup(member_ids={5, 50}, ranking=[50, 5]),
+            ClusterGroup(member_ids={60}, ranking=[60]),
+        ]
+        right = right.for_query()
+        merged = left.merge(right)
+        assert [group.member_ids for group in merged.groups] == [
+            {1, 2, 3}, {4, 5, 6, 50}, {7, 8, 9}, {60},
+        ]
+        assert merged.groups[0] is left.groups[0]
+        assert merged.groups[2] is left.groups[2]
+        assert merged.groups[3] is right.groups[1]
+        assert merged.groups[1] is not left.groups[1]
+        assert merged._owned_groups == frozenset({merged.groups[1]})
+        assert left.groups[1].member_ids == {4, 5, 6}
+
+    def test_groups_an_input_may_mutate_in_place_are_copied(self):
+        owned = ClusterSummary("K")
+        owned.groups = [ClusterGroup(member_ids={1, 2}, ranking=[1, 2])]
+        projected = disjoint_view(10, 2).share()
+        projected.remove_annotations({10})  # builds and owns a new group
+        merged = owned.merge(projected)
+        # The unshared input's group and the projection's own group are
+        # copied; the projection's untouched shared group is not.
+        assert merged.groups[0] is not owned.groups[0]
+        assert merged.groups[1] is not projected.groups[0]
+        assert merged.groups[2] is projected.groups[1]
+        owned.remove_annotations({1})
+        projected.remove_annotations({11})
+        assert merged.groups[0].member_ids == {1, 2}
+        assert merged.groups[1].member_ids == {11, 12}
