@@ -1,6 +1,6 @@
 """insightlint — AST-based invariant checking for the engine's disciplines.
 
-The concurrency, SQL-safety, and copy-on-write conventions that keep the
+The concurrency, SQL-safety, and summary-value conventions that keep the
 engine correct (DESIGN.md §6–§9) are enforced mechanically here instead
 of by reviewers re-deriving them per diff.  See DESIGN.md §10 for the
 rule catalogue and the suppression/baseline workflow.

@@ -2,8 +2,9 @@
 
 The engine's correctness under concurrency rests on conventions that no
 general-purpose linter knows about — probe-under-lock / SQL-outside-lock,
-pool-only database access, parameterized-only SQL, copy-on-write
-``for_query()`` before mutating shared summary objects.  ``insightlint``
+pool-only database access, parameterized-only SQL, no in-place mutation
+of shared summary objects or of query-time values (project with
+``without()``, combine with ``merge()``).  ``insightlint``
 turns those conventions into machine-checked rules over Python's ``ast``
 (the same move the InsightNotes engine makes with invariant properties:
 declare the discipline once, enforce it mechanically everywhere).

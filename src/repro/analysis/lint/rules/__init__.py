@@ -8,7 +8,7 @@ IN001       no SQL / pool checkout while holding a threading lock
             (lexical + interprocedural over the project call graph)
 IN002       sqlite3.connect only in storage/pool.py
 IN003       parameterized SQL only; identifiers via sqlsafe helpers
-IN004       copy-on-write (for_query) before mutating shared summaries
+IN004       no in-place mutation of shared summaries or query values
 IN005       no shared-state mutation from executor-submitted callables
             (lexical + interprocedural through helper calls)
 IN006       no silent broad excepts

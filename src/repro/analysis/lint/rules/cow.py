@@ -1,13 +1,15 @@
-"""Copy-on-write rule for shared summary objects.
+"""No in-place mutation of shared summary objects.
 
 IN004 — summary objects returned by the catalog and manager caches are
 *shared*: the same live object is handed to every concurrent query that
-touches the row.  Engine operators must therefore take a
-``for_query()`` (or ``copy()``) copy before mutating one — mutating the
-cached object in place corrupts every other query's view and the next
-write-back.  The rule tracks, within each function in ``engine/``
-modules, names bound from cache getters and flags attribute assignment
-or mutating-method calls on them unless a copy was interposed.
+touches the row.  So are query-time values: ``for_query()`` returns one
+value cached on the stored object, and ``without()``/``merge()`` results
+share every group or set they did not rebuild.  Engine operators must
+never mutate either kind in place — they project with ``without()`` and
+combine with ``merge()``, or mutate a ``copy()``.  The rule tracks,
+within each function in ``engine/`` modules, names bound from cache
+getters and value methods and flags attribute assignment or
+mutating-method calls on them unless a copy was interposed.
 """
 
 from __future__ import annotations
@@ -22,14 +24,16 @@ from repro.analysis.lint.framework import (
     register,
 )
 
-#: Getters returning one shared object.
-OBJECT_GETTERS = frozenset({"load_object", "current_object"})
+#: Getters returning one shared object, and the methods returning values.
+OBJECT_GETTERS = frozenset(
+    {"load_object", "current_object", "for_query", "without", "merge"}
+)
 
 #: Getters returning a mapping of shared objects.
 BULK_GETTERS = frozenset({"load_objects_for_table", "objects_for_rows"})
 
-#: Copies that make a value private to this query.
-COPY_METHODS = frozenset({"for_query", "copy"})
+#: Copies that make an object private to this query.
+COPY_METHODS = frozenset({"copy"})
 
 #: In-place mutations of a summary object (or its containers).
 MUTATING_METHODS = frozenset(
@@ -37,6 +41,8 @@ MUTATING_METHODS = frozenset(
         "remove_annotations",
         "fold",
         "fold_many",
+        "add_entry",
+        "rerank_groups",
         "merge_from",
         "add_annotation",
         "clear",
@@ -64,12 +70,13 @@ _MAP = "mapping"
 
 @register
 class CopyOnWriteSummaries(Rule):
-    """IN004: no in-place mutation of cache-shared summary objects."""
+    """IN004: no in-place mutation of shared summary objects or values."""
 
     rule_id = "IN004"
     summary = (
-        "engine operators must call for_query()/copy() before mutating "
-        "a summary object obtained from the catalog or manager caches"
+        "engine operators must not mutate a cache-shared summary object or "
+        "a for_query()/without()/merge() value; project with without(), "
+        "combine with merge(), or mutate a copy()"
     )
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
@@ -209,9 +216,9 @@ class CopyOnWriteSummaries(Rule):
             yield self.finding(
                 module,
                 target,
-                f"assignment into {base.id!r}, a summary object shared "
-                "through the catalog/manager cache; take "
-                f"{base.id}.for_query() (or .copy()) first",
+                f"assignment into {base.id!r}, a shared summary object or "
+                "for_query() value; project it with without(), combine it "
+                f"with merge(), or assign into {base.id}.copy()",
             )
 
     def _check_mutating_call(
@@ -231,7 +238,7 @@ class CopyOnWriteSummaries(Rule):
             yield self.finding(
                 module,
                 expr,
-                f"call to {attr}() mutates {base.id!r}, obtained from the "
-                "catalog/manager cache, in place; take "
-                f"{base.id}.for_query() (or .copy()) before mutating",
+                f"call to {attr}() mutates {base.id!r}, a shared summary "
+                "object or for_query() value, in place; project it with "
+                f"without(), combine it with merge(), or mutate {base.id}.copy()",
             )

@@ -52,9 +52,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class TraceEntry:
     """Snapshot of one tuple as it left one operator.
 
-    Summary payloads are captured as cheap snapshots (copy-on-write
-    aliases where the type supports it) and rendered lazily: tracing a
-    large scan no longer pays one string render per summary per tuple
+    Summary payloads are captured by reference (they are values, see
+    :class:`~repro.summaries.base.SummaryObject`) and rendered lazily:
+    tracing a large scan pays no string render per summary per tuple
     unless the trace is actually displayed.
     """
 
@@ -139,18 +139,13 @@ class Tracer:
         if self.max_entries is not None and len(self.entries) >= self.max_entries:
             self.dropped += 1
             return
-        # Snapshot each summary without a deep copy: copy-on-write types
-        # share their payload (a later in-place mutation unshares the
-        # downstream object, leaving this alias on the old payload);
-        # other types fall back to a real copy.
+        # Summaries are values and operators rebind rather than mutate
+        # row.summaries, so holding the map itself is the snapshot.
         self.entries.append(
             TraceEntry(
                 operator=operator.describe(),
                 values=row.values,
-                summary_objects={
-                    name: obj.share() if obj.copy_on_write else obj.copy()
-                    for name, obj in row.summaries.items()
-                },
+                summary_objects=row.summaries,
             )
         )
 
@@ -204,23 +199,25 @@ def merge_summary_maps(*maps: dict[str, SummaryObject]) -> dict[str, SummaryObje
 
     An instance present in more than one map merges dedup-aware in a
     single ``first.merge(*rest)`` call.  A one-sided instance propagates
-    (ClassBird1/TextSummary1 in Figure 2, which exist only on tuple r) by
-    a copy-on-write alias, or by a copy for types that do not opt in.
-    Instances keep the order in which they first appear.
+    as it is (ClassBird1/TextSummary1 in Figure 2, which exist only on
+    tuple r).  Instances keep the order in which they first appear.
     """
     collected: dict[str, list[SummaryObject]] = {}
     for summaries in maps:
         for name, obj in summaries.items():
             collected.setdefault(name, []).append(obj)
-    merged: dict[str, SummaryObject] = {}
-    for name, (first, *rest) in collected.items():
-        if rest:
-            merged[name] = first.merge(*rest)
-        elif first.copy_on_write:
-            merged[name] = first.share()
-        else:
-            merged[name] = first.copy()
-    return merged
+    return {
+        name: first.merge(*rest) if rest else first
+        for name, (first, *rest) in collected.items()
+    }
+
+
+def project_summaries(row: AnnotatedTuple, dropped: set[int]) -> None:
+    """Rebind ``row``'s summaries to values without ``dropped``'s effect."""
+    if dropped:
+        row.summaries = {
+            name: obj.without(dropped) for name, obj in row.summaries.items()
+        }
 
 
 def merge_attachments(*maps: dict[int, frozenset[str]]) -> dict[int, frozenset[str]]:
@@ -262,20 +259,16 @@ def _map_columns(
 
 
 def _extend_equivalent(
-    attachments: dict[int, frozenset[str]],
-    equivalent: tuple[tuple[str, str], ...],
-) -> dict[int, frozenset[str]]:
-    """Spread attachments across value-equivalent (equi-joined) columns."""
-    extended: dict[int, frozenset[str]] = {}
-    for annotation_id, columns in attachments.items():
-        extra: set[str] = set()
-        for left_name, right_name in equivalent:
-            if left_name in columns:
-                extra.add(right_name)
-            if right_name in columns:
-                extra.add(left_name)
-        extended[annotation_id] = columns | extra if extra else columns
-    return extended
+    equivalent: tuple[tuple[str, str], ...], columns: frozenset[str]
+) -> frozenset[str]:
+    """``columns`` spread across value-equivalent (equi-joined) columns."""
+    extra: set[str] = set()
+    for left_name, right_name in equivalent:
+        if left_name in columns:
+            extra.add(right_name)
+        if right_name in columns:
+            extra.add(left_name)
+    return columns | extra if extra else columns
 
 
 #: Base rows fetched (and hydrated against storage) per block.
@@ -439,10 +432,10 @@ class HydrateOperator(Operator):
     removed from the summary objects — the same outcome as hydrating at
     the scan and projecting afterwards, at a fraction of the fetches.
     Narrowing qualifies and filters each *distinct* stored column set
-    once per block, not once per annotation per row.  The removal runs
-    on the objects' copy-on-write ``for_query()`` views and pays only for
-    what it drops: a view none of whose groups or sets the dropped ids
-    hit stays shared, and a hit one replaces just those parts.
+    once per block, not once per annotation per row.  The removal
+    projects the objects' cached ``for_query()`` values with ``without()``,
+    which pays only for what it drops.  A row with no stored object gets
+    the empty object's value.
     """
 
     def __init__(
@@ -539,12 +532,10 @@ class HydrateOperator(Operator):
             summaries: dict[str, SummaryObject] = {}
             for instance in instances:
                 obj = objects.get((instance.name, row_id))
-                summary = (
-                    obj.for_query() if obj is not None else instance.new_object()
-                )
-                if dropped:
-                    summary.remove_annotations(dropped)
-                summaries[instance.name] = summary
+                if obj is None:
+                    obj = instance.new_object()
+                value = obj.for_query()
+                summaries[instance.name] = value.without(dropped) if dropped else value
             row.summaries = summaries
             row.attachments = attachments
             yield row
@@ -607,10 +598,7 @@ class ProjectOperator(Operator):
         memo: ColumnSetMemo = {}
         for row in self._child:
             row.values = tuple(row.values[index] for index in self._indices)
-            dropped = row.restrict_attachments(kept, memo)
-            if dropped:
-                for obj in row.summaries.values():
-                    obj.remove_annotations(dropped)
+            project_summaries(row, row.restrict_attachments(kept, memo))
             yield row
 
     def describe(self) -> str:
@@ -657,9 +645,7 @@ class ComputeOperator(Operator):
             row.attachments, dropped = rewrite_attachments(
                 row.attachments, self._outputs_of, memo
             )
-            if dropped:
-                for obj in row.summaries.values():
-                    obj.remove_annotations(dropped)
+            project_summaries(row, dropped)
             yield row
 
     def describe(self) -> str:
@@ -703,6 +689,7 @@ class JoinOperator(Operator):
         self._equivalent_columns = tuple(
             (left.schema[li], right.schema[ri]) for li, ri in self._equi_keys
         )
+        self._widen = partial(_extend_equivalent, self._equivalent_columns)
 
     def _split_predicate(
         self,
@@ -749,11 +736,18 @@ class JoinOperator(Operator):
             return left_index, right_index
         return None
 
-    def combine(self, left: AnnotatedTuple, right: AnnotatedTuple) -> AnnotatedTuple:
-        """Join two tuples: concatenate values, merge summaries dedup-aware."""
+    def combine(
+        self, left: AnnotatedTuple, right: AnnotatedTuple, memo: ColumnSetMemo
+    ) -> AnnotatedTuple:
+        """Join two tuples: concatenate values, merge summaries dedup-aware.
+
+        ``memo`` is shared by every pair of one ``rows()`` pass, so each
+        distinct column set is widened across equi-joined columns once.
+        """
         attachments = merge_attachments(left.attachments, right.attachments)
         if self._equivalent_columns:
-            attachments = _extend_equivalent(attachments, self._equivalent_columns)
+            # Widening never empties a column set, so nothing is dropped.
+            attachments, _ = rewrite_attachments(attachments, self._widen, memo)
         return AnnotatedTuple(
             values=left.values + right.values,
             summaries=merge_summary_maps(left.summaries, right.summaries),
@@ -765,12 +759,13 @@ class JoinOperator(Operator):
         """NULL-pad an unmatched left tuple; its summaries pass through."""
         return AnnotatedTuple(
             values=left_row.values + (None,) * len(self._right.schema),
-            summaries={name: obj.copy() for name, obj in left_row.summaries.items()},
+            summaries=left_row.summaries,
             attachments=dict(left_row.attachments),
             source_rows=left_row.source_rows,
         )
 
     def rows(self) -> Iterator[AnnotatedTuple]:
+        memo: ColumnSetMemo = {}
         if self._equi_keys:
             # The hash index IS the materialization — built in one pass
             # over the right input, no intermediate list.
@@ -783,7 +778,7 @@ class JoinOperator(Operator):
                 matched = False
                 if None not in key:
                     for right_row in index.get(key, ()):
-                        combined = self.combine(left_row, right_row)
+                        combined = self.combine(left_row, right_row, memo)
                         if all(
                             residual.evaluate(combined, self.schema)
                             for residual in self._residual
@@ -799,7 +794,7 @@ class JoinOperator(Operator):
             for left_row in self._left:
                 matched = False
                 for right_row in right_rows:
-                    combined = self.combine(left_row, right_row)
+                    combined = self.combine(left_row, right_row, memo)
                     if self.predicate is None or self.predicate.evaluate(
                         combined, self.schema
                     ):
@@ -870,9 +865,7 @@ class GroupByOperator(Operator):
         row.attachments, dropped = rewrite_attachments(
             row.attachments, self._outputs_of, memo
         )
-        if dropped:
-            for obj in row.summaries.values():
-                obj.remove_annotations(dropped)
+        project_summaries(row, dropped)
         return row
 
     def _aggregate_value(

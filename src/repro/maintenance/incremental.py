@@ -518,8 +518,9 @@ class SummaryManager:
         The manager's write cache wins (it may hold not-yet-flushed
         objects); everything else is one bulk catalog read.  Pairs with
         no summary state are simply absent from the result.  Returned
-        objects are live — callers must take ``for_query()`` or
-        ``copy()`` before mutating.
+        objects are live maintenance state — queries take their
+        ``for_query()`` values, which never change, and anything that
+        mutates must take a ``copy()``.
         """
         names = list(instance_names)
         ids = list(row_ids)

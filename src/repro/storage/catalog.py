@@ -480,11 +480,11 @@ class SummaryCatalog:
         """Load one row's summary object, or None when never summarized.
 
         A one-pair :meth:`load_objects_for_table`, so it shares that
-        method's cache and fill rules.  Callers
-        must not mutate the returned object in place — take a
-        :meth:`~repro.summaries.base.SummaryObject.for_query` copy (the
-        scan path) or :meth:`~repro.summaries.base.SummaryObject.copy`
-        before mutating.
+        method's cache and fill rules.  Callers must not mutate the
+        returned object in place: queries take its
+        :meth:`~repro.summaries.base.SummaryObject.for_query` value (the
+        scan path) and project or merge that, and anything else mutates a
+        :meth:`~repro.summaries.base.SummaryObject.copy`.
         """
         return self.load_objects_for_table(
             (instance_name,), table_name, (row_id,)

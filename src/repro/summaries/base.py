@@ -11,9 +11,10 @@ classes:
 * :class:`SummaryObject` (level 3) — the per-tuple output that travels
   through query plans.
 
-The query engine only ever calls the *object*-level operations — ``merge``,
-``remove_annotations``, ``zoom_components`` — which must work on the
-object's own state without fetching raw annotations.  The maintenance layer
+The query engine only ever calls the *object*-level operations —
+``for_query``, ``without``, ``merge``, ``zoom_components`` — which must
+work on the object's own state without fetching raw annotations, and
+never change an object (see :class:`SummaryObject`).  The maintenance layer
 additionally calls the *instance*-level ``analyze``/``add_to`` pair when new
 annotations arrive.
 """
@@ -21,15 +22,16 @@ annotations arrive.
 from __future__ import annotations
 
 import abc
-import copy as _copylib
-from collections.abc import Mapping, Sequence, Set
+from collections.abc import Iterable, Mapping, Sequence, Set
 from dataclasses import dataclass, field
 from typing import Any, TypeVar
 
+from repro.errors import MaintenanceError
 from repro.model.annotation import Annotation
 
 
 _Key = TypeVar("_Key")
+_Self = TypeVar("_Self", bound="SummaryObject")
 
 
 def sets_without(
@@ -52,6 +54,28 @@ def sets_without(
             result[key] = survivors
         else:
             del result[key]
+    return result
+
+
+def sets_union(maps: Iterable[Mapping[_Key, set[int]]]) -> dict[_Key, set[int]]:
+    """Key-wise union of set mappings, keys in first-appearance order.
+
+    A set no other mapping adds to is shared with its mapping; a key that
+    several mappings fill gets one new set, built when the second one
+    joins.  The merge of the set-valued summary types, over values.
+    """
+    result: dict[_Key, set[int]] = {}
+    built: set[_Key] = set()
+    for sets in maps:
+        for key, members in sets.items():
+            current = result.get(key)
+            if current is None:
+                result[key] = members
+            elif key in built:
+                current |= members
+            elif members:
+                result[key] = current | members
+                built.add(key)
     return result
 
 
@@ -106,6 +130,15 @@ class ZoomComponent:
 class SummaryObject(abc.ABC):
     """Per-tuple summary state (level 3 of the hierarchy).
 
+    An object plays one of two roles.  A *maintenance object* is the
+    stored state the maintenance layer folds annotations into and removes
+    deleted ones from, in place.  A *value* is what a query pipeline
+    holds: :meth:`for_query`, :meth:`without` and :meth:`merge` return
+    values, and nothing ever changes one — the query-time algebra is the
+    pure functions of Figure 2.  A value may therefore share any
+    container with other values, and the built-in types' mutators raise
+    on one.
+
     Subclasses hold all state needed to merge with counterpart objects and
     to remove the effect of individual annotations by id.  They may carry
     additional *heavy* state used only at maintenance time (e.g. cluster
@@ -116,24 +149,12 @@ class SummaryObject(abc.ABC):
     #: Summary type name this object belongs to; set by subclasses.
     type_name: str = ""
 
-    #: Opt-in flag for copy-on-write sharing.  In exchange for it,
-    #: :meth:`for_query` becomes an O(1) alias instead of a deep copy, so
-    #: unfiltered scans stop copying every summary.  A type that sets it
-    #: True takes on one rule: never mutate a container another alias may
-    #: still see.  A mutator either calls :meth:`_ensure_owned` first
-    #: (which unshares the whole payload), or rebinds only the containers
-    #: it changes to new ones it built and leaves the others shared — the
-    #: projection path does this, so ``remove_annotations`` costs what it
-    #: drops, not the object's size.  A mutator of the second kind keeps
-    #: ``_shared`` set while any untouched container is still shared; the
-    #: next whole-object mutator's :meth:`_ensure_owned` then still
-    #: unshares.  The built-in types all opt in; third-party types keep
-    #: the safe deep-copy default.
-    copy_on_write: bool = False
-
     def __init__(self, instance_name: str) -> None:
         self.instance_name = instance_name
-        self._shared = False
+        # True on a value; the built-in mutators raise on one.
+        self._frozen = False
+        # The cached for_query() value of a maintenance object.
+        self._query_view: SummaryObject | None = None
 
     # -- identity -----------------------------------------------------
 
@@ -149,16 +170,31 @@ class SummaryObject(abc.ABC):
 
     @abc.abstractmethod
     def copy(self) -> "SummaryObject":
-        """Independent copy safe to mutate in a query pipeline."""
+        """Independent mutable copy, sharing no container with ``self``."""
 
     @abc.abstractmethod
     def remove_annotations(self, ids: Set[int]) -> None:
         """Remove the effect of the given annotations, in place.
 
-        Must be the exact inverse of having added them, up to internal
-        bookkeeping the query layer cannot observe (e.g. stale centroids).
-        Unknown ids are ignored.
+        The maintenance-side mutator (the delete path); queries project
+        with :meth:`without`.  Must be the exact inverse of having added
+        the annotations, up to internal bookkeeping the query layer cannot
+        observe (e.g. stale centroids).  Unknown ids are ignored.
         """
+
+    def without(self, ids: Set[int]) -> "SummaryObject":
+        """Projection: a value without the effect of ``ids``.
+
+        ``self`` is not changed.  On a value the built-in types return
+        ``self`` when no annotation is hit, and otherwise a new value that
+        shares every group or set ``ids`` do not hit and builds only the
+        hit ones, so a projection costs what it drops.  The base copies,
+        then removes in place.
+        """
+        projected = self.copy()
+        projected.remove_annotations(ids)
+        projected._frozen = True
+        return projected
 
     @abc.abstractmethod
     def merge(self, *others: "SummaryObject") -> "SummaryObject":
@@ -172,11 +208,11 @@ class SummaryObject(abc.ABC):
         implementation can merge in one pass instead of copying an
         accumulator per input.
 
-        No input's content may change.  An input's copy-on-write ownership
-        flags may: a copy-on-write result may hold containers of a shared
-        input uncopied, provided it flags itself shared so that neither side
-        mutates them in place afterwards.  A type with nothing to gain
-        copies ``self`` once and folds every other into the copy.
+        The result is a new value and no input changes.  The built-in
+        types copy only what they combine: a group or set of a value that
+        nothing combines with reaches the result uncopied.  A type with
+        nothing to gain copies ``self`` once and folds every other into
+        the copy.
         """
 
     # -- batch maintenance -----------------------------------------------
@@ -214,65 +250,60 @@ class SummaryObject(abc.ABC):
     def zoom_components(self) -> list[ZoomComponent]:
         """Enumerate zoom-addressable components, 1-indexed, in order."""
 
-    # -- copy-on-write ---------------------------------------------------
-
-    def share(self) -> "SummaryObject":
-        """O(1) alias of this object sharing its payload copy-on-write.
-
-        Both the alias and the original are flagged shared, and each side
-        gives up ownership of every container in the payload, including
-        ones it built since it was last shared.  From then on a mutation
-        on either side rebinds what it changes (a projection replaces only
-        the groups or sets it hits) or unshares the whole payload through
-        :meth:`_ensure_owned`, so the other side observes a stable
-        snapshot.  Only meaningful for :attr:`copy_on_write` types — their
-        mutators carry the guard.
-        """
-        clone = _copylib.copy(self)
-        clone._shared = True
-        self._shared = True
-        return clone
-
-    def _ensure_owned(self) -> None:
-        """Unshare the whole payload before an in-place mutation.
-
-        A no-op when not shared.  A partial projection leaves the object
-        flagged shared (its untouched containers are still seen by other
-        aliases), so this call still copies them before a mutator such as
-        ``fold_many`` writes into any container.
-        """
-        if self._shared:
-            self._materialize()
-            self._shared = False
-
-    def _materialize(self) -> None:
-        """Replace shared payload containers with owned copies.
-
-        The default deep-copies every attribute except identity and the
-        sharing flag; copy-on-write subclasses override it with cheaper
-        container copies.
-        """
-        owned = _copylib.deepcopy(
-            {
-                name: value
-                for name, value in self.__dict__.items()
-                if name not in ("instance_name", "_shared")
-            }
-        )
-        self.__dict__.update(owned)
-
-    # -- bookkeeping -----------------------------------------------------
+    # -- values ----------------------------------------------------------
 
     def for_query(self) -> "SummaryObject":
-        """Copy stripped of maintenance-only heavy state.
+        """The object as a value, stripped of maintenance-only heavy state.
 
-        Copy-on-write types hand out an O(1) shared alias (the scan hot
-        path); others fall back to a plain copy.  Subclasses with heavy
-        state override this to strip it.
+        The base returns a copy, so extension types work unchanged; the
+        built-in types build one value and cache it (:meth:`_writable`).
         """
-        if self.copy_on_write:
-            return self.share()
         return self.copy()
+
+    def _value(self: _Self, **payload: Any) -> _Self:
+        """A value sharing every attribute of ``self`` but ``payload``."""
+        value = object.__new__(type(self))
+        value.__dict__.update(self.__dict__, _frozen=True, _query_view=None, **payload)
+        return value
+
+    def _shared_view(self: _Self) -> _Self:
+        """:meth:`for_query` of a type whose view is the whole object.
+
+        A cached value sharing every container; such a type projects and
+        merges maintenance objects through it too.
+        """
+        if self._frozen:
+            return self
+        if self._query_view is None:
+            self._query_view = self._value()
+        return self._query_view  # type: ignore[return-value]
+
+    def _writable(self) -> None:
+        """The guard each built-in mutator runs before it changes state.
+
+        Raises on a value.  On a maintenance object it drops the cached
+        :meth:`for_query` value, first detaching it (:meth:`_detach_view`)
+        so that the mutation cannot reach a container the value holds.
+        """
+        if self._frozen:
+            raise MaintenanceError(
+                f"{type(self).__name__} {self.instance_name!r} is a query-time "
+                "value and never changes; project it with without(), combine "
+                "it with merge(), or mutate a copy()"
+            )
+        if self._query_view is not None:
+            self._detach_view()
+            self._query_view = None
+
+    def _detach_view(self) -> None:
+        """Stop sharing containers with the cached :meth:`for_query` value.
+
+        Takes the containers of a :meth:`copy`; a type whose view owns its
+        containers overrides this with a no-op.
+        """
+        self.__dict__.update(self.copy().__dict__)
+
+    # -- bookkeeping -----------------------------------------------------
 
     @abc.abstractmethod
     def size_estimate(self) -> int:

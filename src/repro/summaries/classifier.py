@@ -28,6 +28,7 @@ from repro.summaries.base import (
     SummaryObject,
     SummaryType,
     ZoomComponent,
+    sets_union,
     sets_without,
 )
 from repro.summaries.naive_bayes import NaiveBayesClassifier
@@ -40,7 +41,6 @@ class ClassifierSummary(SummaryObject):
     """Per-tuple classifier summary: label -> set of annotation ids."""
 
     type_name = TYPE_NAME
-    copy_on_write = True
 
     def __init__(self, instance_name: str, labels: Sequence[str]) -> None:
         super().__init__(instance_name)
@@ -56,6 +56,7 @@ class ClassifierSummary(SummaryObject):
         makes replay-based maintenance safe.  Adding it under a *different*
         label raises: one annotation has exactly one class.
         """
+        self._writable()
         if label not in self._members:
             raise ValueError(
                 f"label {label!r} not in instance labels {self.labels}"
@@ -66,7 +67,6 @@ class ClassifierSummary(SummaryObject):
                     f"annotation {annotation_id} already classified as "
                     f"{other_label!r}, cannot also be {label!r}"
                 )
-        self._ensure_owned()
         self._members[label].add(annotation_id)
 
     # -- inspection ----------------------------------------------------
@@ -108,6 +108,7 @@ class ClassifierSummary(SummaryObject):
         bulk.  Already-present ids are skipped exactly as the maintenance
         layer's replay rule does.
         """
+        self._writable()
         if not items:
             return 0
         assigned: set[int] = set()
@@ -126,10 +127,8 @@ class ClassifierSummary(SummaryObject):
             assigned.add(annotation_id)
             pending.setdefault(label, []).append(annotation_id)
             folded += 1
-        if pending:
-            self._ensure_owned()
-            for label, ids in pending.items():
-                self._members[label].update(ids)
+        for label, ids in pending.items():
+            self._members[label].update(ids)
         return folded
 
     # -- query-time algebra -------------------------------------------
@@ -140,20 +139,18 @@ class ClassifierSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        """Drop ``ids`` by replacing only the label sets they hit.
-
-        Untouched label sets stay shared with other aliases, so the object
-        stays flagged shared; nothing changes when no label set is hit.
-        """
+        self._writable()
         members = sets_without(self._members, ids, keep_empty=True)
         if members is not None:
             self._members = members
 
-    def _materialize(self) -> None:
-        self._members = {label: set(ids) for label, ids in self._members.items()}
+    def without(self, ids: Set[int]) -> "ClassifierSummary":
+        """Projection that rebuilds only the label sets ``ids`` hit."""
+        view = self.for_query()
+        members = sets_without(view._members, ids, keep_empty=True)
+        return view if members is None else view._value(_members=members)
 
     def merge(self, *others: SummaryObject) -> "ClassifierSummary":
-        merged = self.copy()
         for other in others:
             if not isinstance(other, ClassifierSummary):
                 raise TypeError(f"cannot merge ClassifierSummary with {type(other).__name__}")
@@ -162,11 +159,15 @@ class ClassifierSummary(SummaryObject):
                     "cannot merge classifier summaries with different label sets: "
                     f"{self.labels} vs {other.labels}"
                 )
-            for label, ids in other._members.items():
-                # Set union is exactly the dedup-aware merge of Figure 2: an
-                # annotation attached to both join inputs is counted once.
-                merged._members[label] |= ids
-        return merged
+        # Set union is exactly the dedup-aware merge of Figure 2: an
+        # annotation attached to both join inputs is counted once.
+        members = sets_union(
+            obj.for_query()._members for obj in (self, *others)  # type: ignore[attr-defined]
+        )
+        return self._value(_members=members)
+
+    def for_query(self) -> "ClassifierSummary":
+        return self._shared_view()
 
     # -- zoom-in ---------------------------------------------------------
 

@@ -137,6 +137,15 @@ class ClusterGroup:
             vectors=self.vectors,
         )
 
+    def stripped(self, limit: int) -> "ClusterGroup":
+        """Light copy: no vectors, the top ``limit`` ranks and their previews."""
+        ranking = self.ranking[:limit]
+        return ClusterGroup(
+            member_ids=self.member_ids,
+            ranking=ranking,
+            previews={i: self.previews[i] for i in ranking if i in self.previews},
+        )
+
     def drop_members(self, ids: Set[int]) -> None:
         """Remove members by id in place, keeping ranking order for survivors."""
         gone = self.member_ids & ids
@@ -171,7 +180,6 @@ class ClusterSummary(SummaryObject):
     """Per-tuple cluster summary: an ordered list of groups."""
 
     type_name = TYPE_NAME
-    copy_on_write = True
 
     def __init__(
         self,
@@ -181,11 +189,6 @@ class ClusterSummary(SummaryObject):
         super().__init__(instance_name)
         self.groups: list[ClusterGroup] = []
         self.preview_limit = preview_limit
-        # Cached light (query-stripped) view; invalidated by mutation.
-        self._query_view: "ClusterSummary | None" = None
-        # Groups this object built since it was last shared.  While shared,
-        # only these may be mutated in place; share() empties the set.
-        self._owned_groups: frozenset[ClusterGroup] = frozenset()
 
     # -- inspection ----------------------------------------------------
 
@@ -229,6 +232,7 @@ class ClusterSummary(SummaryObject):
         ``instance`` must be the owning :class:`ClusterInstance` (the
         threshold and preview width live there).
         """
+        self._writable()
         threshold: float = instance.threshold  # type: ignore[attr-defined]
         preview_words: int = instance.preview_words  # type: ignore[attr-defined]
         seen = set(self.annotation_ids())
@@ -240,8 +244,6 @@ class ClusterSummary(SummaryObject):
             fresh.append((annotation, vector))
         if not fresh:
             return 0
-        self._ensure_owned()
-        self._query_view = None
         centroids: dict[int, SparseVector] = {}
         touched: set[int] = set()
         for annotation, vector in fresh:
@@ -291,66 +293,46 @@ class ClusterSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        """Drop ``ids``, paying only for the groups they hit.
+        """Drop ``ids`` in place; emptied groups drop out, the rest keep order."""
+        self._writable()
+        for group in self.groups:
+            if not group.member_ids.isdisjoint(ids):
+                group.drop_members(ids)
+        self.groups = [group for group in self.groups if group.member_ids]
 
-        Groups disjoint from ``ids`` stay as they are — shared with the
-        other aliases when this object is shared — and when no group is
-        hit the object is not touched at all.  A hit group is mutated in
-        place only if this object owns it: the object is unshared, or it
-        built the group since it was last shared.  Any other hit group is
-        replaced by a new one holding its survivors, which this object
-        then owns, so a second projection of the same row (Hydrate, then
-        a group-by's remap) does not copy the group again.  Emptied groups
-        drop out; the order of the others is kept.  ``_shared`` is left
-        set, because untouched groups may still be seen by other aliases.
+    def without(self, ids: Set[int]) -> "ClusterSummary":
+        """Projection that rebuilds only the groups ``ids`` hit.
+
+        Every other group is shared with ``self``; emptied groups drop
+        out, the order of the others is kept, and when no group is hit
+        the result is ``self``.
         """
-        hits = [not group.member_ids.isdisjoint(ids) for group in self.groups]
-        if not any(hits):
-            return
-        self._query_view = None
-        shared = self._shared
-        owned = self._owned_groups
-        survivors: list[ClusterGroup] = []
-        built: list[ClusterGroup] = []
-        for group, hit in zip(self.groups, hits):
-            if hit:
-                if shared and group not in owned:
-                    group = group.without(ids)
-                    built.append(group)
-                else:
-                    group.drop_members(ids)
-                if not group.member_ids:
-                    continue
-            survivors.append(group)
-        self.groups = survivors
-        if shared:
-            self._owned_groups = owned.union(built).intersection(survivors)
+        if not self._frozen:
+            return super().without(ids)  # type: ignore[return-value]
+        groups: list[ClusterGroup] = []
+        hit = False
+        for group in self.groups:
+            if group.member_ids.isdisjoint(ids):
+                groups.append(group)
+                continue
+            hit = True
+            group = group.without(ids)
+            if group.member_ids:
+                groups.append(group)
+        return self._value(groups=groups) if hit else self
 
-    def share(self) -> "ClusterSummary":
-        # Sharing revokes group ownership on both sides (the alias starts
-        # from a copy of this object's attributes).
-        self._owned_groups = frozenset()
-        return super().share()  # type: ignore[return-value]
+    def _detach_view(self) -> None:
+        pass  # the stripped view owns its groups
 
     def rerank_groups(self) -> None:
         """Re-elect every group's representatives from the heavy state.
 
         Maintenance-only (groups without vectors are left as they are).
-        Unshares first: reranking rewrites every group in place.
         """
-        self._ensure_owned()
-        self._query_view = None
+        self._writable()
         for group in self.groups:
             if group.vectors is not None:
                 group.rerank()
-
-    def _materialize(self) -> None:
-        owned = self._owned_groups
-        self.groups = [
-            group if group in owned else group.copy() for group in self.groups
-        ]
-        self._owned_groups = frozenset()
-        self._query_view = None
 
     def merge(self, *others: SummaryObject) -> "ClusterSummary":
         """Dedup-aware merge, Figure 2 semantics, in one pass over all inputs.
@@ -370,11 +352,9 @@ class ClusterSummary(SummaryObject):
         rankings, previews and reranks equal the fold's, while the cost
         follows the sizes of the groups rather than their number squared.
 
-        A group reaches the result uncopied when nobody may later mutate
-        it in place: its input is shared and did not build it.  Any other
-        group is copied when the result first takes or changes it.  A
-        result holding uncopied groups is itself flagged shared and owns
-        only the groups it built (DESIGN §6).
+        A value's group reaches the result uncopied; a slot's group is
+        copied once, the first time another group combines into it.  A
+        maintenance object's groups are copied when they take a slot.
         """
         inputs = [self]
         for other in others:
@@ -386,26 +366,25 @@ class ClusterSummary(SummaryObject):
         slots: list[ClusterGroup | None] = []
         slot_of: dict[int, int] = {}
         placed = slot_of.keys()
-        built: set[ClusterGroup] = set()
+        built: set[int] = set()  # slots holding a group this merge built
         for source in inputs:
-            shared = source._shared
-            owned = source._owned_groups
+            is_value = source._frozen
             for group in source.groups:
                 if placed.isdisjoint(group.member_ids):
-                    if not shared or group in owned:
+                    slot = len(slots)
+                    if not is_value:
                         group = group.copy()
-                        built.add(group)
-                    slot_of.update(dict.fromkeys(group.member_ids, len(slots)))
+                        built.add(slot)
+                    slot_of.update(dict.fromkeys(group.member_ids, slot))
                     slots.append(group)
                     continue
                 touched = sorted({slot_of[i] for i in group.member_ids if i in slot_of})
                 slot = touched[0]
                 target = slots[slot]
                 assert target is not None
-                if target not in built:
-                    target = target.copy()
-                    built.add(target)
-                    slots[slot] = target
+                if slot not in built:
+                    target = slots[slot] = target.copy()
+                    built.add(slot)
                 _combine_into(target, group)
                 slot_of.update(dict.fromkeys(group.member_ids, slot))
                 for other_slot in touched[1:]:
@@ -414,15 +393,10 @@ class ClusterSummary(SummaryObject):
                     _combine_into(target, absorbed)
                     slot_of.update(dict.fromkeys(absorbed.member_ids, slot))
                     slots[other_slot] = None
-        result = ClusterSummary(
-            self.instance_name, max(source.preview_limit for source in inputs)
+        return self._value(
+            preview_limit=max(source.preview_limit for source in inputs),
+            groups=[group for group in slots if group is not None],
         )
-        result.groups = [group for group in slots if group is not None]
-        owned_groups = built.intersection(result.groups)
-        if len(owned_groups) < len(result.groups):
-            result._shared = True
-            result._owned_groups = frozenset(owned_groups)
-        return result
 
     # -- zoom-in ---------------------------------------------------------
 
@@ -444,35 +418,23 @@ class ClusterSummary(SummaryObject):
     # -- bookkeeping -----------------------------------------------------
 
     def for_query(self) -> "ClusterSummary":
-        """Light copy: no vectors, ranking/previews cut to the top ranks.
+        """Light value: no vectors, ranking/previews cut to the top ranks.
 
         Keeping only ``preview_limit`` representative candidates bounds the
         per-group payload; if a projection later drops all of them, the
         group falls back to its smallest surviving member id (without a
         preview), which zoom-in can still expand.
 
-        The stripped view is built once and cached; repeated queries get
-        an O(1) copy-on-write alias of it until a mutation invalidates it.
+        The value is built once, owning its containers, and cached until
+        the next mutation drops it.
         """
         view = self._query_view
         if view is None:
-            view = ClusterSummary(self.instance_name, self.preview_limit)
-            for group in self.groups:
-                ranking = group.ranking[: self.preview_limit]
-                view.groups.append(
-                    ClusterGroup(
-                        member_ids=group.member_ids,
-                        ranking=ranking,
-                        previews={
-                            annotation_id: group.previews[annotation_id]
-                            for annotation_id in ranking
-                            if annotation_id in group.previews
-                        },
-                        vectors=None,
-                    )
-                )
-            self._query_view = view
-        return view.share()
+            limit = self.preview_limit
+            view = self._query_view = self._value(
+                groups=[group.stripped(limit) for group in self.groups]
+            )
+        return view  # type: ignore[return-value]
 
     def size_estimate(self) -> int:
         total = 16
@@ -596,11 +558,10 @@ class ClusterInstance(SummaryInstance):
         """Assign ``annotation`` to the nearest group or seed a new one."""
         if not isinstance(obj, ClusterSummary):
             raise TypeError(f"expected ClusterSummary, got {type(obj).__name__}")
+        obj._writable()
         annotation_id = annotation.annotation_id
         if annotation_id in obj.annotation_ids():
             return  # idempotent replay
-        obj._ensure_owned()
-        obj._query_view = None  # the groups are about to change
         best_group: ClusterGroup | None = None
         best_similarity = 0.0
         for group in obj.groups:

@@ -131,7 +131,6 @@ class SnippetSummary(SummaryObject):
     """Per-tuple snippet summary: one entry per document annotation."""
 
     type_name = TYPE_NAME
-    copy_on_write = True
 
     def __init__(self, instance_name: str) -> None:
         super().__init__(instance_name)
@@ -141,9 +140,9 @@ class SnippetSummary(SummaryObject):
 
     def add_entry(self, entry: SnippetEntry) -> None:
         """Append ``entry`` unless its annotation is already summarized."""
+        self._writable()
         if any(e.annotation_id == entry.annotation_id for e in self.entries):
             return
-        self._ensure_owned()
         self.entries.append(entry)
 
     # -- inspection ----------------------------------------------------
@@ -163,24 +162,28 @@ class SnippetSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        entries = [e for e in self.entries if e.annotation_id not in ids]
-        if len(entries) == len(self.entries):
-            return  # nothing dropped: the payload stays shared
-        # A fresh list of immutable entries leaves nothing shared.
-        self.entries = entries
-        self._shared = False
+        self._writable()
+        self.entries = [e for e in self.entries if e.annotation_id not in ids]
 
-    def _materialize(self) -> None:
-        self.entries = list(self.entries)
+    def without(self, ids: Set[int]) -> "SnippetSummary":
+        view = self.for_query()
+        entries = [e for e in view.entries if e.annotation_id not in ids]
+        return view if len(entries) == len(view.entries) else view._value(entries=entries)
 
     def merge(self, *others: SummaryObject) -> "SnippetSummary":
-        merged = self.copy()
+        entries = list(self.entries)  # entries are immutable
+        seen = {entry.annotation_id for entry in entries}
         for other in others:
             if not isinstance(other, SnippetSummary):
                 raise TypeError(f"cannot merge SnippetSummary with {type(other).__name__}")
             for entry in other.entries:
-                merged.add_entry(entry)  # add_entry dedups by annotation id
-        return merged
+                if entry.annotation_id not in seen:
+                    seen.add(entry.annotation_id)
+                    entries.append(entry)
+        return self._value(entries=entries)
+
+    def for_query(self) -> "SnippetSummary":
+        return self._shared_view()
 
     # -- zoom-in ---------------------------------------------------------
 

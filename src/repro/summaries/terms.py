@@ -25,6 +25,7 @@ from repro.summaries.base import (
     SummaryObject,
     SummaryType,
     ZoomComponent,
+    sets_union,
     sets_without,
 )
 from repro.text.tokenize import Tokenizer
@@ -38,7 +39,6 @@ class TermsSummary(SummaryObject):
     """Per-tuple term summary: term -> annotation ids mentioning it."""
 
     type_name = TYPE_NAME
-    copy_on_write = True
 
     def __init__(self, instance_name: str, top_k: int = DEFAULT_TOP_K) -> None:
         super().__init__(instance_name)
@@ -49,7 +49,7 @@ class TermsSummary(SummaryObject):
 
     def add(self, annotation_id: int, terms: Set[str]) -> None:
         """Record that ``annotation_id`` mentions each of ``terms``."""
-        self._ensure_owned()
+        self._writable()
         for term in terms:
             self._members.setdefault(term, set()).add(annotation_id)
 
@@ -85,28 +85,30 @@ class TermsSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        """Drop ``ids`` by replacing only the term sets they hit.
-
-        Untouched term sets stay shared with other aliases, so the object
-        stays flagged shared; nothing changes when no term set is hit.
-        Emptied terms drop out; the order of the others is kept.
-        """
+        """Drop ``ids`` in place; emptied terms drop out, the rest keep order."""
+        self._writable()
         members = sets_without(self._members, ids, keep_empty=False)
         if members is not None:
             self._members = members
 
-    def _materialize(self) -> None:
-        self._members = {term: set(ids) for term, ids in self._members.items()}
+    def without(self, ids: Set[int]) -> "TermsSummary":
+        """Projection that rebuilds only the term sets ``ids`` hit."""
+        view = self.for_query()
+        members = sets_without(view._members, ids, keep_empty=False)
+        return view if members is None else view._value(_members=members)
 
     def merge(self, *others: SummaryObject) -> "TermsSummary":
-        merged = self.copy()
         for other in others:
             if not isinstance(other, TermsSummary):
                 raise TypeError(f"cannot merge TermsSummary with {type(other).__name__}")
-            merged.top_k = max(merged.top_k, other.top_k)
-            for term, ids in other._members.items():
-                merged._members.setdefault(term, set()).update(ids)
-        return merged
+        inputs = [obj.for_query() for obj in (self, *others)]
+        return self._value(
+            top_k=max(obj.top_k for obj in inputs),  # type: ignore[attr-defined]
+            _members=sets_union(obj._members for obj in inputs),  # type: ignore[attr-defined]
+        )
+
+    def for_query(self) -> "TermsSummary":
+        return self._shared_view()
 
     # -- zoom-in ---------------------------------------------------------
 

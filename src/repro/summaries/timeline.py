@@ -23,6 +23,7 @@ from repro.summaries.base import (
     SummaryObject,
     SummaryType,
     ZoomComponent,
+    sets_union,
     sets_without,
 )
 
@@ -46,7 +47,6 @@ class TimelineSummary(SummaryObject):
     """Per-tuple activity histogram: bucket index -> annotation ids."""
 
     type_name = TYPE_NAME
-    copy_on_write = True
 
     def __init__(
         self, instance_name: str, bucket_seconds: int = DEFAULT_BUCKET_SECONDS
@@ -59,7 +59,7 @@ class TimelineSummary(SummaryObject):
 
     def add(self, annotation_id: int, bucket: int) -> None:
         """Record ``annotation_id`` in time ``bucket``."""
-        self._ensure_owned()
+        self._writable()
         self._buckets.setdefault(bucket, set()).add(annotation_id)
 
     # -- inspection ----------------------------------------------------
@@ -93,21 +93,19 @@ class TimelineSummary(SummaryObject):
         return clone
 
     def remove_annotations(self, ids: Set[int]) -> None:
-        """Drop ``ids`` by replacing only the bucket sets they hit.
-
-        Untouched buckets stay shared with other aliases, so the object
-        stays flagged shared; nothing changes when no bucket is hit.
-        Emptied buckets drop out; the order of the others is kept.
-        """
+        """Drop ``ids`` in place; emptied buckets drop out, the rest keep order."""
+        self._writable()
         buckets = sets_without(self._buckets, ids, keep_empty=False)
         if buckets is not None:
             self._buckets = buckets
 
-    def _materialize(self) -> None:
-        self._buckets = {bucket: set(ids) for bucket, ids in self._buckets.items()}
+    def without(self, ids: Set[int]) -> "TimelineSummary":
+        """Projection that rebuilds only the bucket sets ``ids`` hit."""
+        view = self.for_query()
+        buckets = sets_without(view._buckets, ids, keep_empty=False)
+        return view if buckets is None else view._value(_buckets=buckets)
 
     def merge(self, *others: SummaryObject) -> "TimelineSummary":
-        merged = self.copy()
         for other in others:
             if not isinstance(other, TimelineSummary):
                 raise TypeError(
@@ -118,9 +116,13 @@ class TimelineSummary(SummaryObject):
                     "cannot merge timelines with different bucket widths: "
                     f"{self.bucket_seconds} vs {other.bucket_seconds}"
                 )
-            for bucket, ids in other._buckets.items():
-                merged._buckets.setdefault(bucket, set()).update(ids)
-        return merged
+        buckets = sets_union(
+            obj.for_query()._buckets for obj in (self, *others)  # type: ignore[attr-defined]
+        )
+        return self._value(_buckets=buckets)
+
+    def for_query(self) -> "TimelineSummary":
+        return self._shared_view()
 
     # -- zoom-in ---------------------------------------------------------
 

@@ -344,12 +344,42 @@ class TestCopyOnWriteSummaries:
         )
         assert rule_ids(findings) == ["IN004"]
 
-    def test_for_query_copy_before_mutation_passes(self):
+    def test_mutation_of_a_for_query_value_is_flagged(self):
+        # for_query() returns the value cached on the stored object, not a
+        # private copy: mutating it is as wrong as mutating the object.
         findings = lint(
             """
             def emit(self, row_id):
                 obj = self._catalog.load_object("inst", "t", row_id)
                 obj = obj.for_query()
+                obj.add_annotation(1)
+                return obj
+            """,
+            path="src/repro/engine/operators.py",
+            rules=["IN004"],
+        )
+        assert rule_ids(findings) == ["IN004"]
+        assert "without()" in findings[0].message
+        assert "merge()" in findings[0].message
+
+    def test_mutation_of_a_projected_value_is_flagged(self):
+        findings = lint(
+            """
+            def emit(self, obj, dropped):
+                value = obj.without(dropped)
+                value.remove_annotations({1})
+            """,
+            path="src/repro/engine/operators.py",
+            rules=["IN004"],
+        )
+        assert rule_ids(findings) == ["IN004"]
+
+    def test_copy_before_mutation_passes(self):
+        findings = lint(
+            """
+            def emit(self, row_id):
+                obj = self._catalog.load_object("inst", "t", row_id)
+                obj = obj.for_query().copy()
                 obj.add_annotation(1)
                 return obj
             """,

@@ -103,6 +103,8 @@ def per_annotation_loop(schema, attachment_map, objects, row_id):
         obj = objects.get((instance.name, row_id))
         summary = obj.for_query() if obj is not None else instance.new_object()
         if dropped:
+            # The reference projection: copy(), then remove in place.
+            summary = summary.copy()
             summary.remove_annotations(dropped)
         summaries[instance.name] = summary.to_json()
     return attachments, summaries
@@ -154,5 +156,5 @@ def test_hydrate_matches_per_annotation_loop(
         assert {
             name: summary.to_json() for name, summary in row.summaries.items()
         } == summaries
-    # Projection ran on copy-on-write views: the stored objects are intact.
+    # Projection ran on values: the stored objects are intact.
     assert {key: obj.to_json() for key, obj in objects.items()} == before

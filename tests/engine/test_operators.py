@@ -389,10 +389,11 @@ class TestMergeHelpers:
     def test_merge_summary_maps_one_sided(self):
         left_summary = ClassifierSummary("L", ["a"])
         left_summary.add(1, "a")
-        merged = merge_summary_maps({"L": left_summary}, {})
+        view = left_summary.for_query()
+        merged = merge_summary_maps({"L": view}, {})
+        assert merged["L"] is view  # a value passes through uncopied
+        left_summary.add(2, "a")
         assert merged["L"].count("a") == 1
-        merged["L"].add(2, "a")
-        assert left_summary.count("a") == 1  # copied, not shared
 
     def test_merge_attachments_unions_columns(self):
         merged = merge_attachments(

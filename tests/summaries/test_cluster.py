@@ -277,6 +277,19 @@ class TestSerialization:
         assert components[0].annotation_ids == (1,)
 
 
+def project(obj: ClusterSummary, aliased: bool, *drops: set[int]) -> ClusterSummary:
+    """Drop each set in turn: in place on ``obj``, or with ``without()``
+    on its query view when ``aliased``."""
+    if aliased:
+        obj = obj.for_query()
+    for drop in drops:
+        if aliased:
+            obj = obj.without(drop)
+        else:
+            obj.remove_annotations(drop)
+    return obj
+
+
 class TestProjectionOrder:
     """Pinned projection behaviour: group order is kept, emptied groups
     drop out, and each representative is re-elected by ranking, falling
@@ -301,9 +314,7 @@ class TestProjectionOrder:
         ids=["owned", "for_query"],
     )
     def test_order_emptied_groups_and_reelection(self, aliased, representatives):
-        obj = self.make()
-        target = obj.for_query() if aliased else obj
-        target.remove_annotations({3, 4, 5, 7, 8})
+        target = project(self.make(), aliased, {3, 4, 5, 7, 8})
         assert [sorted(g.member_ids) for g in target.groups] == [[1, 2], [6, 10], [9]]
         assert [g.representative for g in target.groups] == representatives
         assert [g.representative_preview() for g in target.groups] == [
@@ -312,12 +323,6 @@ class TestProjectionOrder:
 
     @pytest.mark.parametrize("aliased", [False, True], ids=["owned", "for_query"])
     def test_split_drop_sets_reach_the_same_state(self, aliased):
-        whole = self.make()
-        whole = whole.for_query() if aliased else whole
-        whole.remove_annotations({3, 4, 5, 7, 8})
-        split = self.make()
-        split = split.for_query() if aliased else split
-        split.remove_annotations({8, 4})
-        split.remove_annotations({7, 3})
-        split.remove_annotations({5})
+        whole = project(self.make(), aliased, {3, 4, 5, 7, 8})
+        split = project(self.make(), aliased, {8, 4}, {7, 3}, {5})
         assert split.to_json() == whole.to_json()

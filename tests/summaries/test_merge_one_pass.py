@@ -5,8 +5,8 @@ annotation id -> group slot map; the pairwise merge it replaced copied
 every group, scanned the merged list for an overlap per group and
 re-coalesced after every absorb.  The two must agree byte for byte —
 group order, rankings, preview order and the reranks that run only when
-both sides of a combination carry vectors — on owned inputs, on
-copy-on-write aliases, and on aliases projected after a share.  For every
+both sides of a combination carry vectors — on maintenance objects, on
+their values (with and without heavy state), and on projected values.  For every
 built-in type, ``a.merge(b, c, ...)`` must equal the left fold
 ``a.merge(b).merge(c)...``, and no input may change.
 """
@@ -149,19 +149,19 @@ def raw_clusters(
 
 @st.composite
 def held(draw, summary) -> tuple[object, list[object]]:
-    """``summary`` as a pipeline would hold it: owned, shared, a query
-    view, or an alias projected after a share.  Returns the input and
-    every other holder of its payload."""
+    """``summary`` as a pipeline would hold it: the maintenance object, a
+    value keeping its heavy state, its query view, or a projection of
+    the heavy value.  Returns the input and every other holder of its
+    payload."""
     form = draw(st.sampled_from(("owned", "shared", "view", "projected")))
     if form == "owned":
         return summary, []
-    if form == "shared":
-        return summary.share(), [summary]
     if form == "view":
         return summary.for_query(), [summary]
-    alias = summary.share()
-    alias.remove_annotations(draw(st.sets(ids, max_size=8)))
-    return alias, [summary]
+    heavy = summary.merge()
+    if form == "shared":
+        return heavy, [summary]
+    return heavy.without(draw(st.sets(ids, max_size=8))), [summary, heavy]
 
 
 @st.composite
@@ -263,8 +263,7 @@ class TestClusterMergeMatchesPairwise:
         before = [dump(obj) for obj in inputs + holders]
         expected = reduce(old_merge, inputs)
         expected.remove_annotations(drop)
-        merged = inputs[0].merge(*inputs[1:])
-        merged.remove_annotations(drop)
+        merged = inputs[0].merge(*inputs[1:]).without(drop)
         assert dump(merged) == dump(expected)
         assert [dump(obj) for obj in inputs + holders] == before
 

@@ -1,15 +1,16 @@
 """Projection laws of the five built-in summary types.
 
-Projection (``remove_annotations``) must not depend on how a drop set is
-split or on which copy of the payload it runs: removing ``A`` and then
-``B`` gives the same object as removing ``A ∪ B`` at once, and both equal
-the deep-copy path (``copy()``, then remove).  Each law is checked on an
-owned object and on a copy-on-write ``for_query()`` alias, by
-``to_json``; on the alias path the object it aliases must come out
-unchanged.
+Projection (``without``) must not depend on how a drop set is split or on
+which object it runs: ``without(A).without(B)`` equals ``without(A ∪ B)``,
+and both equal the reference path (``copy()``, then
+``remove_annotations``), byte for byte.  Each law is checked on a
+maintenance object and on its ``for_query()`` value; neither may change.
+The in-place delete path (``remove_annotations``) obeys the same law.
 """
 
 from __future__ import annotations
+
+import json
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,51 +99,75 @@ SUMMARIES = st.one_of(classifiers(), clusters(), snippets(), terms(), timelines(
 
 
 def fresh(summary):
-    """An independent owned object equal to ``summary``."""
+    """An independent maintenance object equal to ``summary``."""
     return type(summary).from_json(summary.to_json())
 
 
+def dump(summary) -> str:
+    """Byte-level form: ``to_json`` with dict order kept."""
+    return json.dumps(summary.to_json())
+
+
 def removed(summary, *drop):
+    """The reference projection: ``copy()``, then remove in place."""
+    clone = summary.copy()
     for ids_ in drop:
-        summary.remove_annotations(ids_)
-    return summary.to_json()
+        clone.remove_annotations(ids_)
+    return dump(clone)
+
+
+def projected(summary, *drop):
+    for ids_ in drop:
+        summary = summary.without(ids_)
+    return dump(summary)
 
 
 class TestProjectionLaws:
     @given(SUMMARIES, drop_sets, drop_sets)
     def test_owned_split_equals_union_equals_copy(self, summary, first, second):
         union = first | second
-        stepwise = removed(fresh(summary), first, second)
-        at_once = removed(fresh(summary), union)
-        via_copy = removed(fresh(summary).copy(), union)
-        assert stepwise == at_once == via_copy
+        before = dump(summary)
+        assert (
+            projected(summary, first, second)
+            == projected(summary, union)
+            == removed(summary, union)
+        )
+        # The in-place delete path obeys the same law.
+        stepwise = fresh(summary)
+        stepwise.remove_annotations(first)
+        stepwise.remove_annotations(second)
+        at_once = fresh(summary)
+        at_once.remove_annotations(union)
+        assert dump(stepwise) == dump(at_once) == removed(summary, union)
+        assert dump(summary) == before
 
     @given(SUMMARIES, drop_sets, drop_sets)
     def test_alias_split_equals_union_equals_copy(self, summary, first, second):
         union = first | second
-        before = summary.to_json()
-        stepwise = removed(summary.for_query(), first, second)
-        at_once = removed(summary.for_query(), union)
-        via_copy = removed(summary.for_query().copy(), union)
-        assert stepwise == at_once == via_copy
-        assert summary.to_json() == before
+        before = dump(summary)
+        view = summary.for_query()
+        view_before = dump(view)
+        assert (
+            projected(view, first, second)
+            == projected(view, union)
+            == removed(view, union)
+        )
+        assert dump(summary) == before
+        assert dump(view) == view_before
 
     @given(SUMMARIES, drop_sets)
     def test_alias_projection_equals_owned_projection(self, summary, drop):
         # Projecting the shared view and projecting an owned copy of the
         # same view are the same operation.
         view = summary.for_query()
-        owned = fresh(view)
-        assert removed(view, drop) == removed(owned, drop)
+        assert projected(view, drop) == projected(fresh(view), drop)
 
     @given(SUMMARIES, drop_sets, drop_sets)
     def test_projection_of_an_alias_of_a_projected_alias(self, summary, first, second):
-        # Hydrate projects a view; a later operator shares and projects it
+        # Hydrate projects a view; a later operator projects the result
         # again.  Neither holder may see the other's removal.
-        view = summary.for_query()
-        view.remove_annotations(first)
-        after_first = view.to_json()
-        again = view.share()
-        again.remove_annotations(second)
-        assert view.to_json() == after_first
-        assert again.to_json() == removed(summary.for_query(), first | second)
+        once = summary.for_query().without(first)
+        after_first = dump(once)
+        again = once.without(second)
+        assert dump(once) == after_first
+        assert dump(again) == projected(summary.for_query(), first | second)

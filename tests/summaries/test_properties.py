@@ -213,8 +213,7 @@ class TestProjectionMergeInteraction:
         )
         if conflict:
             return
-        merged_then_removed = left.merge(right)
-        merged_then_removed.remove_annotations(removed)
+        merged_then_removed = left.merge(right).without(removed)
         left2, right2 = left.copy(), right.copy()
         left2.remove_annotations(removed)
         right2.remove_annotations(removed)
@@ -223,8 +222,7 @@ class TestProjectionMergeInteraction:
 
     @given(snippet_summaries(), snippet_summaries(), st.sets(ids, max_size=10))
     def test_snippet_remove_commutes_with_merge(self, left, right, removed):
-        merged = left.merge(right)
-        merged.remove_annotations(removed)
+        merged = left.merge(right).without(removed)
         left2, right2 = left.copy(), right.copy()
         left2.remove_annotations(removed)
         right2.remove_annotations(removed)
