@@ -4,9 +4,11 @@ IN004 — summary objects returned by the catalog and manager caches are
 *shared*: the same live object is handed to every concurrent query that
 touches the row.  So are query-time values: ``for_query()`` returns one
 value cached on the stored object, and ``without()``/``merge()`` results
-share every group or set they did not rebuild.  Engine operators must
-never mutate either kind in place — they project with ``without()`` and
-combine with ``merge()``, or mutate a ``copy()``.  The rule tracks,
+share every group or set they did not rebuild; ``row.summary(name)``
+returns such a value too.  Engine operators must never mutate either
+kind in place — they project with ``without()`` (through the row's
+pending drop set) and combine with ``merge()``, or mutate a ``copy()``.
+The rule tracks,
 within each function in ``engine/`` modules, names bound from cache
 getters and value methods and flags attribute assignment or
 mutating-method calls on them unless a copy was interposed.
@@ -26,7 +28,7 @@ from repro.analysis.lint.framework import (
 
 #: Getters returning one shared object, and the methods returning values.
 OBJECT_GETTERS = frozenset(
-    {"load_object", "current_object", "for_query", "without", "merge"}
+    {"load_object", "current_object", "for_query", "without", "merge", "summary"}
 )
 
 #: Getters returning a mapping of shared objects.

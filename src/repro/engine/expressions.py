@@ -392,7 +392,7 @@ class SummaryCount(Expression):
     label: str | None = None
 
     def evaluate(self, row: AnnotatedTuple, schema: tuple[str, ...]) -> int:
-        obj = row.summaries.get(self.instance)
+        obj = row.summary(self.instance)
         if obj is None:
             return 0
         if self.label is not None:
@@ -420,7 +420,7 @@ class GroupCount(Expression):
     instance: str
 
     def evaluate(self, row: AnnotatedTuple, schema: tuple[str, ...]) -> int:
-        obj = row.summaries.get(self.instance)
+        obj = row.summary(self.instance)
         if obj is None:
             return 0
         if not isinstance(obj, ClusterSummary):

@@ -9,7 +9,9 @@ semantics of [30]:
 * **Select** filters without touching summaries (Figure 2, step 2).
 * **Project** removes the effect of annotations attached only to dropped
   columns (Figure 2, step 1): classifier counts decrement, snippets
-  disappear, cluster groups shrink and re-elect representatives.
+  disappear, cluster groups shrink and re-elect representatives.  The
+  removal is deferred to the first read of each instance
+  (:meth:`~repro.model.tuple.AnnotatedTuple.drop`).
 * **Join** merges counterpart summary objects without double counting
   annotations attached to both inputs (Figure 2, step 3).
 * **GroupBy** and **Distinct** merge the summaries of the tuples they
@@ -139,8 +141,9 @@ class Tracer:
         if self.max_entries is not None and len(self.entries) >= self.max_entries:
             self.dropped += 1
             return
-        # Summaries are values and operators rebind rather than mutate
-        # row.summaries, so holding the map itself is the snapshot.
+        # Reading row.summaries forces every pending projection, and a
+        # later drop rebinds the row's map rather than changing it, so
+        # holding the map itself is the snapshot.
         self.entries.append(
             TraceEntry(
                 operator=operator.describe(),
@@ -210,14 +213,6 @@ def merge_summary_maps(*maps: dict[str, SummaryObject]) -> dict[str, SummaryObje
         name: first.merge(*rest) if rest else first
         for name, (first, *rest) in collected.items()
     }
-
-
-def project_summaries(row: AnnotatedTuple, dropped: set[int]) -> None:
-    """Rebind ``row``'s summaries to values without ``dropped``'s effect."""
-    if dropped:
-        row.summaries = {
-            name: obj.without(dropped) for name, obj in row.summaries.items()
-        }
 
 
 def merge_attachments(*maps: dict[int, frozenset[str]]) -> dict[int, frozenset[str]]:
@@ -432,10 +427,13 @@ class HydrateOperator(Operator):
     removed from the summary objects — the same outcome as hydrating at
     the scan and projecting afterwards, at a fraction of the fetches.
     Narrowing qualifies and filters each *distinct* stored column set
-    once per block, not once per annotation per row.  The removal
-    projects the objects' cached ``for_query()`` values with ``without()``,
-    which pays only for what it drops.  A row with no stored object gets
-    the empty object's value.
+    once per block, not once per annotation per row.  The removal is
+    deferred: each row carries its objects' cached ``for_query()`` values
+    and the dropped ids as its pending drop set
+    (:meth:`~repro.model.tuple.AnnotatedTuple.drop`), and an instance is
+    projected only when something reads it — a summary predicate or sort
+    key reads only the instances it names, and the rows a Limit keeps are
+    read in full.  A row with no stored object gets the empty object's value.
     """
 
     def __init__(
@@ -534,9 +532,9 @@ class HydrateOperator(Operator):
                 obj = objects.get((instance.name, row_id))
                 if obj is None:
                     obj = instance.new_object()
-                value = obj.for_query()
-                summaries[instance.name] = value.without(dropped) if dropped else value
+                summaries[instance.name] = obj.for_query()
             row.summaries = summaries
+            row.drop(dropped)
             row.attachments = attachments
             yield row
 
@@ -575,7 +573,9 @@ class ProjectOperator(Operator):
     The paper's extended projection (Figure 2, step 1): annotations whose
     every attached column is dropped have their effect removed from the
     tuple's summary objects — counts decrement, cluster representatives
-    get re-elected — without fetching the raw annotations.
+    get re-elected — without fetching the raw annotations.  The operator
+    narrows the attachments and adds the dropped ids to the row's pending
+    drop set; each instance is projected once, on its first read.
     """
 
     def __init__(
@@ -598,7 +598,7 @@ class ProjectOperator(Operator):
         memo: ColumnSetMemo = {}
         for row in self._child:
             row.values = tuple(row.values[index] for index in self._indices)
-            project_summaries(row, row.restrict_attachments(kept, memo))
+            row.drop(row.restrict_attachments(kept, memo))
             yield row
 
     def describe(self) -> str:
@@ -645,7 +645,7 @@ class ComputeOperator(Operator):
             row.attachments, dropped = rewrite_attachments(
                 row.attachments, self._outputs_of, memo
             )
-            project_summaries(row, dropped)
+            row.drop(dropped)
             yield row
 
     def describe(self) -> str:
@@ -865,7 +865,7 @@ class GroupByOperator(Operator):
         row.attachments, dropped = rewrite_attachments(
             row.attachments, self._outputs_of, memo
         )
-        project_summaries(row, dropped)
+        row.drop(dropped)
         return row
 
     def _aggregate_value(

@@ -13,13 +13,13 @@ The attachments map is what makes the extended projection semantics
 (Theorems 1–2 of the engine paper) computable anywhere in the plan: when a
 projection drops columns, every annotation whose remaining attachment set
 becomes empty has its effect removed from the tuple's summary objects —
-without ever fetching the raw annotation text.
+without ever fetching the raw annotation text.  The removal is deferred
+to the first read of each summary object (:meth:`AnnotatedTuple.drop`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Mapping
-from dataclasses import dataclass, field
+from collections.abc import Callable, Collection, Mapping, Set
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -27,6 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Memo of a column-set rewrite: input column set -> rewritten set.
 ColumnSetMemo = dict[frozenset[str], frozenset[str]]
+
+#: The pending drop set of a row with nothing pending.
+_NO_DROPS: frozenset[int] = frozenset()
 
 
 def rewrite_attachments(
@@ -56,7 +59,6 @@ def rewrite_attachments(
     return rewritten, dropped
 
 
-@dataclass(slots=True)
 class AnnotatedTuple:
     """A tuple plus its annotation summaries.
 
@@ -75,34 +77,105 @@ class AnnotatedTuple:
     source_rows:
         ``(table, row_id)`` pairs of the base rows this tuple derives from.
         Used by zoom-in execution and the under-the-hood operator log.
+
+    Projection is deferred.  Operators that drop annotations call
+    :meth:`drop`, which only unions the ids into the row's *pending* drop
+    set; an instance is projected — one ``without(pending)`` call — the
+    first time something reads it, through :meth:`summary` (one instance)
+    or :attr:`summaries` (all of them).  By the projection law
+    ``without(A).without(B) == without(A | B)`` a read returns exactly
+    what projecting eagerly at every drop would have, while instances
+    that no one reads before a Limit or a filter discards the row are
+    never projected.  A drop that arrives after an instance was read
+    projects that instance right away, so a read instance always carries
+    every drop so far.
+
+    A row is forced on one thread: operators run on the query's thread,
+    and a result is sized (which reads every instance) before the zoom-in
+    cache shares it.
     """
 
-    values: tuple[Any, ...]
-    summaries: dict[str, "SummaryObject"] = field(default_factory=dict)
-    attachments: dict[int, frozenset[str]] = field(default_factory=dict)
-    source_rows: frozenset[tuple[str, int]] = field(default_factory=frozenset)
+    __slots__ = ("values", "attachments", "source_rows", "_summaries", "_pending", "_forced")
 
-    def copy(self) -> "AnnotatedTuple":
-        """Deep-enough copy: summary objects are copied, values shared."""
-        return AnnotatedTuple(
-            values=self.values,
-            summaries={name: obj.copy() for name, obj in self.summaries.items()},
-            attachments=dict(self.attachments),
-            source_rows=self.source_rows,
-        )
+    def __init__(
+        self,
+        values: tuple[Any, ...],
+        summaries: dict[str, "SummaryObject"] | None = None,
+        attachments: dict[int, frozenset[str]] | None = None,
+        source_rows: frozenset[tuple[str, int]] = frozenset(),
+    ) -> None:
+        self.values = values
+        self.attachments = {} if attachments is None else attachments
+        self.source_rows = source_rows
+        self._summaries = {} if summaries is None else summaries
+        #: Ids whose effect the values in ``_summaries`` still carry.
+        self._pending: Set[int] = _NO_DROPS
+        #: Instances read while ``_pending`` was set, already projected.
+        self._forced: dict[str, SummaryObject] | None = None
+
+    @property
+    def summaries(self) -> dict[str, "SummaryObject"]:
+        """Every instance, projected: a plain dict.
+
+        Forces each instance still pending.  Forcing rebinds rather than
+        changes the row's map, so a dict returned here is never altered by
+        a later drop set (the tracer keeps it as a snapshot).
+        """
+        pending = self._pending
+        if pending:
+            forced = self._forced
+            self._summaries = {
+                name: (
+                    value.without(pending)
+                    if forced is None or name not in forced
+                    else forced[name]
+                )
+                for name, value in self._summaries.items()
+            }
+            self._pending = _NO_DROPS
+            self._forced = None
+        return self._summaries
+
+    @summaries.setter
+    def summaries(self, summaries: dict[str, "SummaryObject"]) -> None:
+        """Replace every instance; the new values have nothing pending."""
+        self._summaries = summaries
+        self._pending = _NO_DROPS
+        self._forced = None
+
+    def summary(self, name: str) -> "SummaryObject | None":
+        """Instance ``name`` projected, or ``None`` when the row lacks it.
+
+        Projects that one instance on its first read after a drop and
+        keeps the result; the other instances stay pending.
+        """
+        value = self._summaries.get(name)
+        if value is None or not self._pending:
+            return value
+        forced = self._forced
+        if forced is None:
+            forced = self._forced = {}
+        projected = forced.get(name)
+        if projected is None:
+            projected = forced[name] = value.without(self._pending)
+        return projected
+
+    def drop(self, ids: Set[int]) -> None:
+        """Remove ``ids``' effect: now from read instances, on read from the rest.
+
+        The row keeps ``ids`` as it is (callers hand over a fresh set and
+        never change it afterwards) and unions later sets into a new one.
+        """
+        if ids:
+            if self._forced:
+                self._forced = {
+                    name: value.without(ids) for name, value in self._forced.items()
+                }
+            self._pending = ids if not self._pending else self._pending | ids
 
     def annotation_ids(self) -> frozenset[int]:
         """Ids of all annotations still contributing to this tuple."""
         return frozenset(self.attachments)
-
-    def annotations_on_columns(self, columns: Iterable[str]) -> set[int]:
-        """Annotation ids attached to at least one of ``columns``."""
-        wanted = set(columns)
-        return {
-            annotation_id
-            for annotation_id, cols in self.attachments.items()
-            if cols & wanted
-        }
 
     def restrict_attachments(
         self,

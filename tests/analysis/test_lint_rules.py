@@ -374,6 +374,32 @@ class TestCopyOnWriteSummaries:
         )
         assert rule_ids(findings) == ["IN004"]
 
+    def test_mutation_of_a_row_summary_is_flagged(self):
+        # row.summary(name) returns the row's projected value, which may
+        # share its groups and sets with the for_query() value it came from.
+        findings = lint(
+            """
+            def evaluate(self, row):
+                obj = row.summary(self.instance)
+                obj.remove_annotations({1})
+            """,
+            path="src/repro/engine/expressions.py",
+            rules=["IN004"],
+        )
+        assert rule_ids(findings) == ["IN004"]
+
+    def test_reading_a_row_summary_passes(self):
+        findings = lint(
+            """
+            def evaluate(self, row):
+                obj = row.summary(self.instance)
+                return len(obj.annotation_ids())
+            """,
+            path="src/repro/engine/expressions.py",
+            rules=["IN004"],
+        )
+        assert findings == []
+
     def test_copy_before_mutation_passes(self):
         findings = lint(
             """

@@ -157,8 +157,8 @@ class TestJoin:
     def test_equi_join_spreads_attachments_to_equivalent_column(self, stack):
         rows = list(self._join(stack))
         first = next(row for row in rows if row.values[:2] == (1, 2))
-        behavior_on_s = first.annotations_on_columns(["s.x"])
-        behavior_on_r = first.annotations_on_columns(["r.a"])
+        behavior_on_s = {i for i, cols in first.attachments.items() if "s.x" in cols}
+        behavior_on_r = {i for i, cols in first.attachments.items() if "r.a" in cols}
         # The S annotation also covers r.a now (and vice versa).
         assert behavior_on_s == behavior_on_r
 

@@ -20,12 +20,6 @@ class TestAnnotatedTuple:
         row = _tuple_with_attachments()
         assert row.annotation_ids() == frozenset({1, 2, 3})
 
-    def test_annotations_on_columns(self):
-        row = _tuple_with_attachments()
-        assert row.annotations_on_columns(["t.a"]) == {1, 2}
-        assert row.annotations_on_columns(["t.c"]) == {3}
-        assert row.annotations_on_columns(["t.z"]) == set()
-
     def test_restrict_attachments_returns_dropped(self):
         row = _tuple_with_attachments()
         dropped = row.restrict_attachments(["t.a"])
@@ -53,18 +47,6 @@ class TestAnnotatedTuple:
         assert row.attachments[1] == frozenset({"u.a"})
         assert row.attachments[2] == frozenset({"u.a", "t.b"})
 
-    def test_copy_is_independent(self):
-        row = AnnotatedTuple(values=(1,))
-        summary = ClassifierSummary("C", ["x", "y"])
-        summary.add(1, "x")
-        row.summaries["C"] = summary
-        row.attachments[1] = frozenset({"t.a"})
-        clone = row.copy()
-        clone.summaries["C"].add(2, "y")
-        clone.attachments[2] = frozenset({"t.b"})
-        assert row.summaries["C"].annotation_ids() == frozenset({1})
-        assert 2 not in row.attachments
-
     def test_total_summary_size(self):
         row = AnnotatedTuple(values=(1,))
         assert row.total_summary_size() == 0
@@ -75,3 +57,54 @@ class TestAnnotatedTuple:
 
     def test_source_rows_default_empty(self):
         assert AnnotatedTuple(values=()).source_rows == frozenset()
+
+
+def _classified(*labels: str) -> ClassifierSummary:
+    """A classifier value with annotation ``i + 1`` under ``labels[i]``."""
+    summary = ClassifierSummary("C", ["x", "y"])
+    for annotation_id, label in enumerate(labels, start=1):
+        summary.add(annotation_id, label)
+    return summary.for_query()
+
+
+class TestPendingDrops:
+    def test_drop_is_deferred_to_the_read(self):
+        value = _classified("x", "y")
+        row = AnnotatedTuple(values=(1,), summaries={"C": value})
+        row.drop({1})
+        assert row.summary("C").annotation_ids() == frozenset({2})
+        assert value.annotation_ids() == frozenset({1, 2})
+
+    def test_a_forced_instance_is_kept(self):
+        row = AnnotatedTuple(values=(1,), summaries={"C": _classified("x", "y")})
+        row.drop({1})
+        assert row.summary("C") is row.summary("C")
+        assert row.summaries["C"] is row.summary("C")
+
+    def test_a_later_drop_reaches_a_forced_instance(self):
+        row = AnnotatedTuple(values=(1,), summaries={"C": _classified("x", "y", "x")})
+        row.drop({1})
+        assert row.summary("C").annotation_ids() == frozenset({2, 3})
+        row.drop({3})
+        assert row.summary("C").annotation_ids() == frozenset({2})
+
+    def test_summaries_is_a_snapshot(self):
+        row = AnnotatedTuple(values=(1,), summaries={"C": _classified("x", "y")})
+        row.drop({1})
+        snapshot = row.summaries
+        row.drop({2})
+        row.summary("C")
+        assert row.summaries["C"].is_empty()
+        assert snapshot["C"].annotation_ids() == frozenset({2})
+
+    def test_assigning_summaries_clears_pending(self):
+        row = AnnotatedTuple(values=(1,), summaries={"C": _classified("x")})
+        row.drop({1})
+        replacement = _classified("x", "y")
+        row.summaries = {"C": replacement}
+        assert row.summary("C") is replacement
+
+    def test_missing_instance_reads_none(self):
+        row = AnnotatedTuple(values=(1,), summaries={"C": _classified("x")})
+        row.drop({1})
+        assert row.summary("K") is None
