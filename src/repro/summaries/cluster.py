@@ -39,7 +39,7 @@ from repro.summaries.base import (
     SummaryType,
     ZoomComponent,
 )
-from repro.text.similarity import cosine_similarity
+from repro.text.similarity import cosine_similarity, magnitude
 from repro.text.tokenize import Tokenizer
 from repro.text.vectorize import SparseVector, normalize, term_frequencies
 
@@ -112,19 +112,26 @@ class ClusterGroup:
         count = max(1, len(self.vectors))
         return {token: weight / count for token, weight in total.items()}
 
-    def rerank(self) -> None:
+    def rerank(self, centroid: SparseVector | None = None) -> None:
         """Recompute the representative ranking from the heavy state.
 
         Members are ordered by similarity to the group centroid, best
-        first, with annotation id as a deterministic tie-break.
+        first, with annotation id as a deterministic tie-break.  A caller
+        that already holds the current centroid (equal to
+        :meth:`centroid`, key order included) may pass it in.
         """
-        if self.vectors is None:
+        vectors = self.vectors
+        if vectors is None:
             raise MaintenanceError("cannot rerank a cluster group without vectors")
-        centroid = self.centroid()
+        if centroid is None:
+            centroid = self.centroid()
+        norm = magnitude(centroid)
         self.ranking = sorted(
             self.member_ids,
             key=lambda annotation_id: (
-                -cosine_similarity(self.vectors.get(annotation_id, {}), centroid),
+                -cosine_similarity(
+                    vectors.get(annotation_id, {}), centroid, right_norm=norm
+                ),
                 annotation_id,
             ),
         )
@@ -217,17 +224,30 @@ class ClusterSummary(SummaryObject):
         instance: SummaryInstance,
         items: Sequence[tuple[Annotation, Any]],
     ) -> int:
-        """Vectorized batch fold: memoized centroids, one rerank per group.
+        """Batch fold that compares each annotation with candidate groups only.
 
-        The sequential path recomputes every group centroid for every
-        incoming annotation and re-ranks the receiving group after each
-        insert.  Here centroids are computed once and invalidated only
-        when their group gains a member, and each touched group is
-        re-ranked once at the end of the batch.  Both shortcuts are exact:
-        a centroid depends only on member vectors (not on the ranking),
-        and the sequential path's *last* rerank of a group already sees
-        that group's final batch membership — so the folded state is
-        bit-identical to folding one at a time.
+        The sequential path (:meth:`ClusterInstance.add_to`) rebuilds every
+        group centroid for every incoming annotation and re-ranks the
+        receiving group after each insert.  Here each group keeps a
+        batch-local token -> weight running sum, a token -> group-index
+        map names the groups that share a token with an annotation, and a
+        group's centroid and its norm are derived at most once per
+        membership change.  Each touched group is re-ranked once, at the
+        end of the batch, against its final centroid.
+
+        The folded state is bit-identical to folding one at a time:
+
+        * a running sum adds each token's weights in member insertion
+          order starting from 0.0, which is the float (and the key order)
+          that :meth:`ClusterGroup.centroid` builds;
+        * a group that shares no token with the annotation scores exactly
+          0.0, which never beats ``best_similarity`` under the strict ``>``
+          from 0.0, so skipping it changes nothing; candidates are visited
+          in ascending index, which keeps the lowest-index tie-break;
+        * the norms handed to :func:`cosine_similarity` are the
+          :func:`magnitude` floats it would compute itself;
+        * the sequential path's *last* rerank of a group already sees that
+          group's final batch membership.
 
         ``instance`` must be the owning :class:`ClusterInstance` (the
         threshold and preview width live there).
@@ -244,36 +264,59 @@ class ClusterSummary(SummaryObject):
             fresh.append((annotation, vector))
         if not fresh:
             return 0
-        centroids: dict[int, SparseVector] = {}
+        groups = self.groups
+        sums: list[dict[str, float]] = []
+        holders: dict[str, list[int]] = {}  # token -> indexes of groups holding it
+        for index, group in enumerate(groups):
+            if group.vectors is None:
+                raise MaintenanceError(
+                    "cannot add annotations to a query-stripped cluster summary"
+                )
+            total: dict[str, float] = {}
+            for member_vector in group.vectors.values():
+                _accumulate(total, member_vector, holders, index)
+            sums.append(total)
+        centroids: dict[int, tuple[SparseVector, float]] = {}
+
+        def centroid_of(index: int) -> tuple[SparseVector, float]:
+            cached = centroids.get(index)
+            if cached is None:
+                count = max(1, len(groups[index].vectors or ()))
+                centroid = {token: weight / count for token, weight in sums[index].items()}
+                cached = centroids[index] = (centroid, magnitude(centroid))
+            return cached
+
         touched: set[int] = set()
         for annotation, vector in fresh:
             best_index: int | None = None
             best_similarity = 0.0
-            for index, group in enumerate(self.groups):
-                if group.vectors is None:
-                    raise MaintenanceError(
-                        "cannot add annotations to a query-stripped cluster summary"
+            candidates = {index for token in vector for index in holders.get(token, ())}
+            if candidates:
+                norm = magnitude(vector)
+                for index in sorted(candidates):
+                    centroid, centroid_norm = centroid_of(index)
+                    similarity = cosine_similarity(
+                        vector, centroid, left_norm=norm, right_norm=centroid_norm
                     )
-                centroid = centroids.get(index)
-                if centroid is None:
-                    centroid = group.centroid()
-                    centroids[index] = centroid
-                similarity = cosine_similarity(vector, centroid)
-                if similarity > best_similarity:
-                    best_similarity = similarity
-                    best_index = index
+                    if similarity > best_similarity:
+                        best_similarity = similarity
+                        best_index = index
             annotation_id = annotation.annotation_id
             preview = make_preview(annotation.text, preview_words)
             if best_index is not None and best_similarity >= threshold:
-                group = self.groups[best_index]
+                group = groups[best_index]
                 group.member_ids.add(annotation_id)
                 group.previews[annotation_id] = preview
                 assert group.vectors is not None
                 group.vectors[annotation_id] = vector
+                _accumulate(sums[best_index], vector, holders, best_index)
                 centroids.pop(best_index, None)  # membership changed
                 touched.add(best_index)
             else:
-                self.groups.append(
+                total = {}
+                _accumulate(total, vector, holders, len(groups))
+                sums.append(total)
+                groups.append(
                     ClusterGroup(
                         member_ids={annotation_id},
                         ranking=[annotation_id],
@@ -282,7 +325,7 @@ class ClusterSummary(SummaryObject):
                     )
                 )
         for index in sorted(touched):
-            self.groups[index].rerank()
+            groups[index].rerank(centroid_of(index)[0])
         return len(fresh)
 
     # -- query-time algebra -------------------------------------------
@@ -499,6 +542,25 @@ class ClusterSummary(SummaryObject):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ClusterSummary {len(self.groups)} groups>"
+
+
+def _accumulate(
+    total: dict[str, float],
+    vector: SparseVector,
+    holders: dict[str, list[int]],
+    index: int,
+) -> None:
+    """Add ``vector`` into group ``index``'s running sum ``total``.
+
+    Each token's sum grows as ``ClusterGroup.centroid``'s loop grows it,
+    and a token new to the group registers the group in ``holders``.
+    """
+    for token, weight in vector.items():
+        previous = total.get(token)
+        if previous is None:
+            holders.setdefault(token, []).append(index)
+            previous = 0.0
+        total[token] = previous + weight
 
 
 def _combine_into(target: ClusterGroup, source: ClusterGroup) -> None:

@@ -59,6 +59,11 @@ class NaiveBayesClassifier:
         self._total_terms: Counter[str] = Counter()
         self._vocabulary: set[str] = set()
         self._total_docs = 0
+        # Scoring cache: log prior per label and log likelihood per
+        # (label, token), filled as tokens are scored and dropped by
+        # partial_fit, the only method that changes the counts.
+        self._log_priors: dict[str, float] | None = None
+        self._log_likelihoods: dict[str, dict[str, float]] = {}
 
     # -- training --------------------------------------------------------
 
@@ -78,6 +83,8 @@ class NaiveBayesClassifier:
         self._term_counts[label].update(tokens)
         self._total_terms[label] += len(tokens)
         self._vocabulary.update(tokens)
+        self._log_priors = None
+        self._log_likelihoods = {}
 
     @property
     def is_trained(self) -> bool:
@@ -98,23 +105,40 @@ class NaiveBayesClassifier:
         no likelihood evidence), so prediction degrades to the first label
         rather than raising — an untrained classifier instance must still
         be linkable to a relation.
+
+        The log prior of each label and the log likelihood of each
+        (label, token) pair are computed once per model state and cached;
+        a score adds the same floats in the same order as computing them
+        afresh, so it is unchanged by the cache.
         """
         tokens = self._tokenizer.tokens(text)
-        vocab_size = max(1, len(self._vocabulary))
+        log_priors = self._log_priors
+        if log_priors is None:
+            log_priors = self._log_priors = {
+                label: math.log(
+                    (self._doc_counts.get(label, 0) + self._smoothing)
+                    / (self._total_docs + self._smoothing * len(self.labels))
+                )
+                for label in self.labels
+            }
         scores: dict[str, float] = {}
         for label in self.labels:
-            doc_count = self._doc_counts.get(label, 0)
-            prior = (doc_count + self._smoothing) / (
-                self._total_docs + self._smoothing * len(self.labels)
-            )
-            score = math.log(prior)
-            term_counts = self._term_counts.get(label, Counter())
-            denominator = self._total_terms.get(label, 0) + self._smoothing * vocab_size
+            cache = self._log_likelihoods.setdefault(label, {})
+            score = log_priors[label]
             for token in tokens:
-                likelihood = (term_counts.get(token, 0) + self._smoothing) / denominator
-                score += math.log(likelihood)
+                value = cache.get(token)
+                if value is None:
+                    value = cache[token] = self._log_likelihood(label, token)
+                score += value
             scores[label] = score
         return scores
+
+    def _log_likelihood(self, label: str, token: str) -> float:
+        """Laplace-smoothed ``log P(token | label)``."""
+        vocab_size = max(1, len(self._vocabulary))
+        term_counts = self._term_counts.get(label, Counter())
+        denominator = self._total_terms.get(label, 0) + self._smoothing * vocab_size
+        return math.log((term_counts.get(token, 0) + self._smoothing) / denominator)
 
     def predict(self, text: str) -> str:
         """Most probable label for ``text`` (ties broken by label order)."""

@@ -26,16 +26,28 @@ def magnitude(vector: Mapping[str, float]) -> float:
 
 
 def cosine_similarity(
-    left: Mapping[str, float], right: Mapping[str, float]
+    left: Mapping[str, float],
+    right: Mapping[str, float],
+    *,
+    left_norm: float | None = None,
+    right_norm: float | None = None,
 ) -> float:
     """Cosine similarity in [0, 1] for non-negative sparse vectors.
 
     Either vector being empty yields 0.0 — an empty annotation is similar
     to nothing, so it always starts its own cluster.
+
+    ``left_norm`` / ``right_norm`` let a caller that compares one vector
+    many times pass its :func:`magnitude` once; the denominator is then
+    the same product of the same floats, so the result is unchanged.
     """
     if not left or not right:
         return 0.0
-    denominator = magnitude(left) * magnitude(right)
+    if left_norm is None:
+        left_norm = magnitude(left)
+    if right_norm is None:
+        right_norm = magnitude(right)
+    denominator = left_norm * right_norm
     if denominator == 0.0:
         return 0.0
     return dot(left, right) / denominator

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.summaries.naive_bayes import NaiveBayesClassifier
+from repro.text.tokenize import Tokenizer
 
 TRAINING = [
     ("observed feeding on stonewort beds", "Behavior"),
@@ -103,3 +104,79 @@ class TestPersistence:
         reloaded = NaiveBayesClassifier.from_json(model.to_json())
         reloaded.partial_fit("new behavior words", "Behavior")
         assert reloaded.is_trained
+
+
+def uncached_scores(model: NaiveBayesClassifier, text: str) -> dict[str, float]:
+    """Log scores recomputed from the serialized counts, nothing cached."""
+    data = model.to_json()
+    smoothing = data["smoothing"]
+    vocabulary = set()
+    for counts in data["term_counts"].values():
+        vocabulary.update(counts)
+    vocab_size = max(1, len(vocabulary))
+    tokens = Tokenizer().tokens(text)
+    scores = {}
+    for label in data["labels"]:
+        prior = (data["doc_counts"].get(label, 0) + smoothing) / (
+            data["total_docs"] + smoothing * len(data["labels"])
+        )
+        score = math.log(prior)
+        term_counts = data["term_counts"].get(label, {})
+        denominator = data["total_terms"].get(label, 0) + smoothing * vocab_size
+        for token in tokens:
+            score += math.log((term_counts.get(token, 0) + smoothing) / denominator)
+        scores[label] = score
+    return scores
+
+
+PROBES = (
+    "observed feeding on stonewort beds",
+    "feeding feeding feeding on pox",
+    "symptoms of avian influenza near the weeds",
+    "",
+)
+UNSEEN = ("xyzzy plugh frobnicate", "stonewort xyzzy stonewort plugh")
+
+
+class TestScoreCache:
+    """Cached log priors and likelihoods give exactly the uncached floats."""
+
+    def test_scores_after_predict_then_partial_fit(self, model):
+        for text in PROBES:
+            model.predict(text)  # fills the cache
+        model.partial_fit("seen diving near stonewort", "Behavior")
+        model.partial_fit("infected with botulism again", "Disease")
+        fresh = NaiveBayesClassifier(["Behavior", "Disease"]).fit(
+            TRAINING
+            + [
+                ("seen diving near stonewort", "Behavior"),
+                ("infected with botulism again", "Disease"),
+            ]
+        )
+        for text in PROBES + UNSEEN:
+            assert model.log_scores(text) == fresh.log_scores(text)
+            assert model.log_scores(text) == uncached_scores(model, text)
+
+    def test_scores_after_round_trip(self, model):
+        for text in PROBES:
+            model.log_scores(text)
+        reloaded = NaiveBayesClassifier.from_json(model.to_json())
+        fresh = NaiveBayesClassifier(["Behavior", "Disease"]).fit(TRAINING)
+        for text in PROBES + UNSEEN:
+            assert reloaded.log_scores(text) == fresh.log_scores(text)
+            assert reloaded.log_scores(text) == model.log_scores(text)
+            assert reloaded.log_scores(text) == uncached_scores(reloaded, text)
+
+    def test_scores_of_out_of_vocabulary_tokens(self, model):
+        fresh = NaiveBayesClassifier(["Behavior", "Disease"]).fit(TRAINING)
+        for text in UNSEEN:
+            first = model.log_scores(text)
+            assert model.log_scores(text) == first  # served from the cache
+            assert first == fresh.log_scores(text)
+            assert first == uncached_scores(model, text)
+        # A partial fit that makes an unseen token seen changes its score.
+        before = model.log_scores("xyzzy")
+        model.partial_fit("xyzzy xyzzy", "Disease")
+        after = model.log_scores("xyzzy")
+        assert after != before
+        assert after == uncached_scores(model, "xyzzy")
