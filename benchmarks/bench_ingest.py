@@ -21,9 +21,9 @@ Shape expected: the statement count of the batched path collapses to a
 small multiple of the touched-object count (≥3x fewer statements is the
 gate at the top ratio), and throughput rises accordingly.
 
-Reusable pieces (:func:`make_specs`, :func:`measure_ingest`) are shared
-with ``run_bench.py --bench ingest``, which records the trajectory in
-``BENCH_ingest.json``.
+The statement gate itself is a tier-1 test
+(``tests/maintenance/test_bulk_ingest.py``); this module reports the
+series.
 """
 
 from __future__ import annotations

@@ -19,10 +19,6 @@ numbers nothing in the library-level benchmarks measures.  Admission
 queues are sized to the offered load, so a healthy run completes with
 zero rejections/timeouts; any other outcome fails the gate outright
 (a load generator that silently drops work reports fantasy QPS).
-
-Reusable pieces (:func:`build_serve_server`, :func:`run_load`,
-:func:`measure_serve`) are shared with ``run_bench.py --bench serve``,
-which records the trajectory in ``BENCH_serve.json``.
 """
 
 from __future__ import annotations
@@ -41,8 +37,6 @@ MODES = {
     "single": {"shards": 1, "writers": 1},
     "sharded": {"shards": 4, "writers": 2},
 }
-
-CLIENT_COUNTS = (1, 4, 16)
 
 #: Reader-lane worker threads — the served analogue of the concurrency
 #: bench's pooled topology (SQLite scans release the GIL, so reader

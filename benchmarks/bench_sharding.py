@@ -1,7 +1,7 @@
-"""EXP-SH — Bulk-ingest and read throughput across storage shard counts.
+"""EXP-SH — Bulk-ingest throughput under concurrent reads, 1 vs 4 shards.
 
-Sweeps the shard count (1 / 2 / 4 / 8) of the hash-partitioned storage
-backend under the mixed load the sharding rework targets: **four writer
+Compares one and four shards of the hash-partitioned storage backend
+under the mixed load the sharding rework targets: **four writer
 threads bulk-ingesting annotation batches while eight reader threads
 run scatter-gather pushdown queries**.  ``shards_1`` is the single-file
 compatibility baseline (one lock-serialized writer); at ``shards_N``
@@ -9,17 +9,11 @@ each shard has its own SQLite file, connection pool, and independently
 serialized writer, so concurrent batches land on disjoint write locks
 and overlap their commit / WAL work instead of queueing.
 
-Two workloads:
-
-* ``ingest_under_read`` (the gated one) — wall-clock for the four
-  writers to finish a fixed number of ``AnnotationStore.add_many``
-  batches each while the readers query continuously.  Fixed write work,
-  so the ``shards_1 / shards_4`` wall-clock ratio *is* the ingest
-  throughput gain; the acceptance gate wants >= 2x.
-* ``read_under_ingest`` (informational) — wall-clock for the readers to
-  finish a fixed number of queries each while the writers ingest
-  continuously; shows what scatter-gather scans cost / gain under write
-  pressure.
+The workload, ``ingest_under_read``, is the wall-clock for the four
+writers to finish a fixed number of ``AnnotationStore.add_many`` batches
+each while the readers query continuously.  The write work is fixed, so
+the ``shards_1 / shards_4`` wall-clock ratio *is* the ingest throughput
+gain.
 
 Ingest goes through the storage layer (``session.annotations.add_many``)
 rather than the session facade: the benchmark isolates the storage
@@ -34,11 +28,6 @@ block-affine id placement gives each sharded batch a private shard —
 under heavy concurrent read pressure the baseline writer that holds
 the single write lock keeps losing its GIL timeslice to readers,
 convoying every other writer behind it, which per-shard locks avoid.
-
-Reusable pieces (:func:`build_sharding_session`, :func:`make_batches`,
-:func:`measure_ingest_under_read`, :func:`measure_read_under_ingest`)
-are shared with ``run_bench.py --bench shard``, which records the
-trajectory in ``BENCH_shard.json``.
 """
 
 from __future__ import annotations
@@ -57,9 +46,7 @@ from repro.storage.annotations import AnnotationDraft
 
 MODES = {
     "shards_1": {"shards": 1},
-    "shards_2": {"shards": 2},
     "shards_4": {"shards": 4},
-    "shards_8": {"shards": 8},
 }
 
 #: Concurrent ingest threads; also the cell key (``4w``).
@@ -70,9 +57,6 @@ WRITERS = 4
 #: browsing summaries while annotations stream in, and read pressure is
 #: what amplifies the baseline's single-write-lock convoy.
 READERS = 8
-
-#: Annotations per ``add_many`` batch — small frequent commits.
-BATCH_ROWS = 10
 
 #: Cells attached per annotation (the same observation attached to
 #: several tuples).
@@ -225,77 +209,14 @@ def measure_ingest_under_read(
     }
 
 
-def measure_read_under_ingest(
-    session: InsightNotes,
-    writer_pool: ThreadPoolExecutor,
-    reader_pool: ThreadPoolExecutor,
-    batches: list[list[list[AnnotationDraft]]],
-    n_readers: int,
-    per_reader: int,
-) -> dict:
-    """Wall-clock for ``n_readers`` threads to finish ``per_reader``
-    queries each while every writer thread ingests continuously."""
-    stop = threading.Event()
-
-    def writer(worker: int) -> int:
-        done = 0
-        while not stop.is_set():
-            session.annotations.add_many(
-                batches[worker][done % len(batches[worker])]
-            )
-            done += 1
-        return done
-
-    def reader(worker: int) -> None:
-        for round_number in range(per_reader):
-            session.query(QUERIES[(worker + round_number) % len(QUERIES)])
-
-    writer_futures = [
-        writer_pool.submit(writer, k) for k in range(len(batches))
-    ]
-    started = time.perf_counter()
-    reader_futures = [reader_pool.submit(reader, k) for k in range(n_readers)]
-    for future in reader_futures:
-        future.result()
-    elapsed = time.perf_counter() - started
-    stop.set()
-    batch_count = sum(future.result() for future in writer_futures)
-    queries = n_readers * per_reader
-    return {
-        "seconds": elapsed,
-        "queries": queries,
-        "queries_per_s": queries / max(elapsed, 1e-9),
-        "writer_batches": batch_count,
-    }
-
-
-def ingest_statements(
-    session: InsightNotes, batch: list[AnnotationDraft]
-) -> int:
-    """SQLite statements issued by one single-threaded ingest batch."""
-    with session.db.track_queries() as counter:
-        session.annotations.add_many(batch)
-    return counter.count
-
-
-def shard_write_batches(before: dict, after: dict) -> dict[str, int]:
-    """Per-shard writer-batch deltas between two counter snapshots."""
-    return {
-        shard: after[shard]["write_batches"]
-        - before.get(shard, {}).get("write_batches", 0)
-        for shard in sorted(after, key=int)
-    }
-
-
 # -- pytest entry point ----------------------------------------------------
 
 _SMOKE_ROWS = 2_000
 _SMOKE_BATCH = 50
 _SMOKE_BATCHES_PER_WRITER = 3
-_SMOKE_PER_READER = 2
 
 
-@pytest.mark.parametrize("mode", ["shards_1", "shards_4"])
+@pytest.mark.parametrize("mode", sorted(MODES))
 def test_sharded_ingest_report(tmp_path, mode):
     """Series table: ingest-under-read wall-clock, one shard count."""
     session = build_sharding_session(

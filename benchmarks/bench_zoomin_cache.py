@@ -14,22 +14,12 @@ converge once the cache is large enough to hold everything.
 
 from __future__ import annotations
 
-import statistics
-import threading
-import time
-
 import pytest
 
 from benchmarks.conftest import time_call, write_report
 from repro.workloads import QueryWorkload, WorkloadConfig, build_workload
 from repro.workloads.zoomin_workload import ZoomInWorkload
-from repro.zoomin.admission import (
-    REJECTED_CHEAP,
-    AdmissionPolicy,
-    AdmissionVerdict,
-    AdmitAll,
-    CostAwareAdmission,
-)
+from repro.zoomin.admission import AdmitAll
 from repro.zoomin.executor import ZoomInExecutor
 from repro.zoomin.policies import FIFOPolicy, LFUPolicy, LRUPolicy, SizePolicy
 from repro.zoomin.rco import RCOPolicy
@@ -222,238 +212,6 @@ def test_disk_store_variant(benchmark):
         memory_cache.counters.hit_ratio - disk_cache.counters.hit_ratio
     ) < 0.15
     benchmark(lambda: None)
-
-
-# -- EXP-Z2: the tiered production path under concurrent Zipf load ----------
-#
-# Importable helpers driven by ``run_bench.py --bench zoomin``: four
-# threads replay a Zipf-skewed zoom-in stream against the two-tier
-# cache in three modes at two byte-budget points, plus a single-flight
-# stampede cell.  Routing even the no-cache mode through the tiered
-# cache keeps the rest of the path (executor, single-flight, tracing)
-# identical, so the comparison isolates caching itself.
-
-TIERED_MODES = ("nocache", "lru", "rco")
-
-REPLAY_THREADS = 4
-STAMPEDE_THREADS = 16
-
-
-class RejectAll(AdmissionPolicy):
-    """Admission that caches nothing — the no-cache lower bound."""
-
-    def assess(
-        self,
-        size_bytes: int,
-        recompute_cost: float,
-        capacity_bytes: int,
-        pinned_bytes: int = 0,
-    ) -> AdmissionVerdict:
-        return AdmissionVerdict(
-            admitted=False,
-            pinned=False,
-            reason=REJECTED_CHEAP,
-            recompute_cost=recompute_cost,
-            size_bytes=size_bytes,
-        )
-
-
-def make_tiered_cache(
-    mode: str, memory_bytes: int, disk_bytes: int
-) -> TieredZoomInCache:
-    """A fresh two-tier cache in one of the three benchmark modes."""
-    if mode == "nocache":
-        return TieredZoomInCache(
-            memory_bytes=memory_bytes,
-            disk_bytes=disk_bytes,
-            admission=RejectAll(),
-        )
-    if mode == "lru":
-        return TieredZoomInCache(
-            memory_bytes=memory_bytes,
-            disk_bytes=disk_bytes,
-            policy=LRUPolicy(),
-            admission=AdmitAll(),
-        )
-    if mode == "rco":
-        return TieredZoomInCache(
-            memory_bytes=memory_bytes,
-            disk_bytes=disk_bytes,
-            policy=RCOPolicy(),
-            admission=CostAwareAdmission(),
-        )
-    raise ValueError(f"unknown tiered mode {mode!r}")
-
-
-def build_tiered_state(quick: bool = False) -> dict:
-    """Workload session + query log + Zipf zoom-in stream.
-
-    Unlike :func:`_setup` this builds fresh state per call (the driver
-    owns its lifetime and closes the session when done).
-    """
-    workload = build_workload(
-        WorkloadConfig(
-            num_birds=4 if quick else 8,
-            num_sightings=8 if quick else 16,
-            annotations_per_row=10 if quick else 20,
-            seed=61,
-        )
-    )
-    session = workload.session
-    queries = QueryWorkload(seed=5)
-    sqls: dict[int, str] = {}
-    results: dict[int, object] = {}
-    for query in queries.mixed(8 if quick else QUERY_COUNT):
-        result = session.query(query.sql)
-        sqls[result.qid] = query.sql
-        results[result.qid] = result
-    stream = ZoomInWorkload(
-        qids=sorted(sqls),
-        instances=["ClassBird1", "ClassBird2", "SimCluster"],
-        exponent=1.2,
-        max_index=3,
-        seed=19,
-    ).stream(60 if quick else STREAM_LENGTH)
-    total_bytes = sum(r.size_estimate() for r in results.values())
-    return {
-        "session": session,
-        "sqls": sqls,
-        "stream": stream,
-        "total_bytes": total_bytes,
-    }
-
-
-def _percentile(samples: list[float], fraction: float) -> float:
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
-
-
-def replay_tiered(
-    state: dict,
-    mode: str,
-    memory_bytes: int,
-    disk_bytes: int,
-    n_threads: int = REPLAY_THREADS,
-) -> dict:
-    """One concurrent replay of the stream; per-reference latencies."""
-    session = state["session"]
-    sqls = state["sqls"]
-    cache = make_tiered_cache(mode, memory_bytes, disk_bytes)
-
-    def recompute(qid: int):
-        fresh = session.query(sqls[qid])
-        fresh.qid = qid  # keep the stream's identity
-        return fresh
-
-    executor = ZoomInExecutor(session.annotations, cache, recompute)
-    chunks = [state["stream"][i::n_threads] for i in range(n_threads)]
-    latencies: list[list[float]] = [[] for _ in range(n_threads)]
-    gate = threading.Barrier(n_threads + 1)
-
-    def worker(index: int) -> None:
-        gate.wait()
-        for reference in chunks[index]:
-            started = time.perf_counter()
-            executor.execute(reference.command_text())
-            latencies[index].append(time.perf_counter() - started)
-
-    threads = [
-        threading.Thread(target=worker, args=(i,)) for i in range(n_threads)
-    ]
-    for thread in threads:
-        thread.start()
-    gate.wait()
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    return {
-        "seconds": time.perf_counter() - started,
-        "latencies": [sample for lane in latencies for sample in lane],
-        "counters": cache.counters,
-    }
-
-
-def measure_tiered(
-    state: dict,
-    mode: str,
-    memory_bytes: int,
-    disk_bytes: int,
-    repeats: int,
-    n_threads: int = REPLAY_THREADS,
-) -> dict:
-    """Median-of-``repeats`` replay cell for one mode at one budget."""
-    runs = [
-        replay_tiered(state, mode, memory_bytes, disk_bytes, n_threads)
-        for _ in range(repeats)
-    ]
-    latencies = [sample for run in runs for sample in run["latencies"]]
-    counters = runs[0]["counters"]
-    return {
-        "median_s": round(
-            statistics.median(run["seconds"] for run in runs), 6
-        ),
-        "p50_ms": round(_percentile(latencies, 0.50) * 1000, 3),
-        "p99_ms": round(_percentile(latencies, 0.99) * 1000, 3),
-        "hit_ratio": round(counters.hit_ratio, 3),
-        "memory_hits": counters.memory_hits,
-        "disk_hits": counters.disk_hits,
-        "recomputes": counters.recomputes,
-        "coalesced": counters.coalesced,
-        "memory_bytes": memory_bytes,
-        "disk_bytes": disk_bytes,
-    }
-
-
-def measure_stampede(
-    state: dict, n_threads: int = STAMPEDE_THREADS
-) -> dict:
-    """N concurrent zoom-ins referencing one cold qid, counted.
-
-    The single-flight guarantee under test: however the scheduler
-    interleaves the threads, the referenced query executes exactly once.
-    """
-    session = state["session"]
-    sqls = state["sqls"]
-    cache = TieredZoomInCache(memory_bytes=1 << 22, disk_bytes=1 << 24)
-    calls: list[int] = []
-    call_lock = threading.Lock()
-
-    def recompute(qid: int):
-        with call_lock:
-            calls.append(1)
-        fresh = session.query(sqls[qid])
-        fresh.qid = qid
-        return fresh
-
-    executor = ZoomInExecutor(session.annotations, cache, recompute)
-    command = state["stream"][0].command_text()
-    gate = threading.Barrier(n_threads + 1)
-    latencies: list[float] = []
-    lat_lock = threading.Lock()
-
-    def worker() -> None:
-        gate.wait()
-        started = time.perf_counter()
-        executor.execute(command)
-        elapsed = time.perf_counter() - started
-        with lat_lock:
-            latencies.append(elapsed)
-
-    threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-    for thread in threads:
-        thread.start()
-    gate.wait()
-    started = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    return {
-        "median_s": round(time.perf_counter() - started, 6),
-        "threads": n_threads,
-        "computes": len(calls),
-        "recomputes": cache.counters.recomputes,
-        "coalesced": cache.counters.coalesced,
-        "p99_ms": round(_percentile(latencies, 0.99) * 1000, 3),
-    }
 
 
 def test_rco_weight_ablation(benchmark):

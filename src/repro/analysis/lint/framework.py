@@ -233,27 +233,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-def enclosing_functions(
-    tree: ast.Module,
-) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-    """Yield ``(qualname, function)`` for every function in the module."""
-
-    def walk(
-        node: ast.AST, prefix: str
-    ) -> Iterator[tuple[str, ast.FunctionDef | ast.AsyncFunctionDef]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                yield qualname, child
-                yield from walk(child, f"{qualname}.")
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child, f"{prefix}{child.name}.")
-            else:
-                yield from walk(child, prefix)
-
-    yield from walk(tree, "")
-
-
 # -- baseline ----------------------------------------------------------
 
 

@@ -186,9 +186,6 @@ class LockFlow:
 
     # -- reading the summaries ----------------------------------------
 
-    def direct_blocking(self, key: str) -> list[BlockingSite]:
-        return self._direct_blocking.get(key, [])
-
     def blocking_witness(self, key: str) -> str:
         """A human-readable witness for a blocking-reachable function."""
         queue: list[str] = [key]

@@ -14,8 +14,10 @@ turns join-condition conjuncts into join predicates (enabling the hash
 join); these rewrites move whole tuples, never individual annotations, so
 they are summary-neutral.
 
-Set ``normalize=False`` to lower plans as written — the EXP-QP3 ablation
-uses this to demonstrate that merge-before-project plans can disagree.
+Set the ``normalize_plans`` attribute to False to lower plans as written —
+the EXP-QP3 ablation uses this to demonstrate that merge-before-project
+plans can disagree; ``push_selections`` switches the selection pushdown
+the same way.
 """
 
 from __future__ import annotations
@@ -76,8 +78,6 @@ class Planner:
         annotations: "AnnotationStore",
         catalog: "SummaryCatalog",
         manager: "SummaryManager | None" = None,
-        normalize: bool = True,
-        push_selections: bool = True,
         scan_block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
         statistics: CatalogStatistics | None = None,
     ) -> None:
@@ -85,8 +85,9 @@ class Planner:
         self._annotations = annotations
         self._catalog = catalog
         self._manager = manager
-        self.normalize_plans = normalize
-        self.push_selections = push_selections
+        #: The Theorems 1-2 ablation switches (see the module docstring).
+        self.normalize_plans = True
+        self.push_selections = True
         #: Feeds the cost-driven rewrites (join order, hydrate placement,
         #: storage aggregation); without statistics the cost model falls
         #: back to its defaults.

@@ -90,9 +90,6 @@ class InsightNotes:
     trace_history:
         How many recent per-query traces (:class:`~repro.zoomin.tracing.
         QueryTrace`) the session retains for :meth:`trace`.
-    normalize:
-        Apply the Theorems 1-2 project-before-merge normalization
-        (disable only for the plan-equivalence ablation).
     scan_block_size:
         How many base rows each table scan prefetches per storage
         round-trip (summaries and attachments are loaded in bulk per
@@ -113,11 +110,13 @@ class InsightNotes:
     compiled into the storage scan, summaries are hydrated lazily above
     the residual selection, and catalog statistics drive join ordering,
     hydrate placement and storage-side aggregation (DESIGN.md §8, §13).
-    Statistics seed themselves lazily and refresh on demand via
-    :meth:`analyze`.  Sessions are safe to *share* across threads:
-    concurrent queries each get their own operator tree, and every
-    shared structure (caches, registries, counters) is internally
-    locked.
+    The Theorems 1-2 project-before-merge normalization is always on;
+    the plan-equivalence ablation switches it off through the
+    ``planner.normalize_plans`` attribute.  Statistics seed themselves
+    lazily and refresh on demand via :meth:`analyze`.  Sessions are safe
+    to *share* across threads: concurrent queries each get their own
+    operator tree, and every shared structure (caches, registries,
+    counters) is internally locked.
     """
 
     def __init__(
@@ -128,7 +127,6 @@ class InsightNotes:
         cache_store: str | None = None,
         cache_disk_bytes: int = 0,
         trace_history: int = 128,
-        normalize: bool = True,
         scan_block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
         object_cache_size: int = DEFAULT_OBJECT_CACHE_SIZE,
         shards: int = 1,
@@ -148,7 +146,6 @@ class InsightNotes:
             self.annotations,
             self.catalog,
             manager=self.manager,
-            normalize=normalize,
             scan_block_size=scan_block_size,
             statistics=self.stats_registry,
         )

@@ -8,9 +8,11 @@ import time
 
 import pytest
 
+from repro import InsightNotes
 from repro.engine.results import QueryResult
 from repro.model.tuple import AnnotatedTuple
 from repro.zoomin.admission import AdmitAll, CostAwareAdmission
+from repro.zoomin.executor import ZoomInExecutor
 from repro.zoomin.policies import SizePolicy
 from repro.zoomin.stores import SQLiteResultStore
 from repro.zoomin.tiered import TieredZoomInCache
@@ -265,43 +267,90 @@ class TestWarmRestart:
         reopened.close()
 
 
+def assert_stampede_computes_once(cache, bind, make) -> None:
+    """Eight threads miss one cold qid at once; the query runs once.
+
+    ``bind(compute)`` returns a lookup that runs ``compute`` on a miss
+    and returns the cache source it was served from; ``make()`` builds
+    the recomputed result.
+    """
+    gate = threading.Barrier(8)
+    calls: list[int] = []
+    call_lock = threading.Lock()
+
+    def compute():
+        with call_lock:
+            calls.append(1)
+        # Hold the flight open long enough for the other threads,
+        # already past the barrier, to pile onto it.
+        time.sleep(0.2)
+        return make()
+
+    lookup = bind(compute)
+    outcomes: list[str] = []
+    out_lock = threading.Lock()
+
+    def worker():
+        gate.wait(timeout=30)
+        source = lookup()
+        with out_lock:
+            outcomes.append(source)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    # The hard guarantee: the query ran exactly once.
+    assert len(calls) == 1
+    assert outcomes.count("recomputed") == 1
+    assert cache.counters.recomputes == 1
+    # The rest coalesced onto the flight (or, if the scheduler was
+    # very unfair, hit the already-landed result — never recomputed).
+    assert outcomes.count("coalesced") >= 1
+    assert set(outcomes) <= {"recomputed", "coalesced", "memory"}
+
+
 class TestSingleFlight:
     def test_stampede_computes_exactly_once(self):
         cache = make_cache()
-        gate = threading.Barrier(8)
-        calls: list[int] = []
-        call_lock = threading.Lock()
+        assert_stampede_computes_once(
+            cache,
+            lambda compute: lambda: cache.get_or_compute(404, compute)[1],
+            lambda: make_result(404),
+        )
 
-        def compute():
-            with call_lock:
-                calls.append(1)
-            # Hold the flight open long enough for the other threads,
-            # already past the barrier, to pile onto it.
-            time.sleep(0.2)
-            return make_result(404)
+    def test_executor_stampede_computes_exactly_once(self):
+        """The same stampede as ZOOMIN commands through the executor."""
+        notes = InsightNotes()
+        notes.create_table("T", ["C1"])
+        notes.insert("T", ("x",))
+        notes.define_classifier("NB", ["refute", "approve"], [
+            ("value is wrong", "refute"),
+            ("looks correct", "approve"),
+        ])
+        notes.link("NB", "T")
+        notes.add_annotation("value is wrong", table="T", row_id=1)
+        cache = make_cache()
 
-        outcomes: list[str] = []
-        out_lock = threading.Lock()
+        def bind(compute):
+            executor = ZoomInExecutor(
+                notes.annotations, cache, lambda qid: compute()
+            )
+            return lambda: executor.execute(
+                "ZOOMIN REFERENCE QID = 404 ON NB"
+            ).source
 
-        def worker():
-            gate.wait()
-            _, source = cache.get_or_compute(404, compute)
-            with out_lock:
-                outcomes.append(source)
+        def make():
+            fresh = notes.query("SELECT C1 FROM T")
+            fresh.qid = 404
+            return fresh
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # The hard guarantee: the query ran exactly once.
-        assert len(calls) == 1
-        assert outcomes.count("recomputed") == 1
-        assert cache.counters.recomputes == 1
-        # The rest coalesced onto the flight (or, if the scheduler was
-        # very unfair, hit the already-landed result — never recomputed).
-        assert outcomes.count("coalesced") >= 1
-        assert set(outcomes) <= {"recomputed", "coalesced", "memory"}
+        try:
+            assert_stampede_computes_once(cache, bind, make)
+        finally:
+            notes.close()
 
     def test_leader_failure_propagates_to_followers(self):
         cache = make_cache()
