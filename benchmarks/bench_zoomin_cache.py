@@ -19,7 +19,6 @@ import pytest
 from benchmarks.conftest import time_call, write_report
 from repro.workloads import QueryWorkload, WorkloadConfig, build_workload
 from repro.workloads.zoomin_workload import ZoomInWorkload
-from repro.zoomin.admission import AdmitAll
 from repro.zoomin.executor import ZoomInExecutor
 from repro.zoomin.policies import FIFOPolicy, LFUPolicy, LRUPolicy, SizePolicy
 from repro.zoomin.rco import RCOPolicy
@@ -85,7 +84,6 @@ def _replay(policy_factory, capacity_fraction: float):
         memory_bytes=capacity,
         disk_bytes=0,
         policy=policy_factory(),
-        admission=AdmitAll(),
     )
 
     def recompute(qid: int):
@@ -173,7 +171,6 @@ def test_disk_store_variant(benchmark):
             disk_bytes=capacity if on_disk else 0,
             policy=RCOPolicy(),
             disk_store=store,
-            admission=AdmitAll(),
         )
 
         def recompute(qid: int):

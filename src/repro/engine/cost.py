@@ -1,6 +1,6 @@
-"""Catalog statistics and the cost model behind the cost-based planner.
+"""Catalog statistics and the cost model that prices plans.
 
-DESIGN.md §13.  Three pieces live here:
+DESIGN.md §13.  Two pieces live here:
 
 * :class:`CatalogStatistics` — per-table statistics (row counts,
   per-column distinct values, per-instance summary-object counts and
@@ -14,18 +14,12 @@ DESIGN.md §13.  Three pieces live here:
   The units are calibrated relative to each other, not to wall-clock:
   streaming a row costs ~1, evaluating a predicate a fraction of that,
   hydrating a row several times more (plus a per-byte term for summary
-  deserialization).  Every estimate degrades gracefully — with no
-  statistics at all the model falls back to fixed defaults that still
-  rank a cross join above an equi join and hydration above residual
-  evaluation, so plans stay valid (if less sharp) when ``planner_stats``
-  is empty or stale.
-* :class:`PlannerCounters` — thread-safe counters the planner bumps as
-  it costs plans, surfaced through ``InsightNotes.statistics()`` and
-  the serve ``stats`` op.
+  deserialization).  With no statistics at all the model falls back to
+  fixed defaults, so ``explain()`` works on an empty ``planner_stats``.
 
-The cost model never mutates plans; all rewrites live in
-:class:`~repro.engine.planner.Planner`, which consults this module and
-only ever chooses among Theorem 1–2-equivalent alternatives.
+The model prices plans and decides nothing: every rewrite in
+:class:`~repro.engine.planner.Planner` is a rule, and the estimates feed
+only ``explain()`` and each result's ``cost_estimate`` in traces.
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ from repro.engine.expressions import (
     resolve_column,
     uses_summaries,
 )
-from repro.errors import UnknownTableError
+from repro.errors import PlanError, UnknownTableError
 from repro.storage.annotations import AnnotationStore
 from repro.storage.catalog import SummaryCatalog
 from repro.storage.database import Database
@@ -158,8 +152,8 @@ class TableStats:
 class CatalogStatistics:
     """Statistics registry: collection, upkeep, persistence, feedback.
 
-    Thread-safe; the planner reads it on every costed plan while ingest
-    paths bump the incremental counters.
+    Thread-safe; every priced plan reads it while ingest paths bump the
+    incremental counters.
     """
 
     def __init__(
@@ -184,7 +178,7 @@ class CatalogStatistics:
         """Stats for ``table``, seeding a COUNT(*)-only stub on first use.
 
         The stub keeps never-analyzed sessions sharp on the statistic
-        that matters most (relative table sizes drive join order) while
+        that matters most (table sizes dominate every estimate) while
         staying cheap — one COUNT(*) per table per session.
         """
         self._ensure_loaded()
@@ -359,41 +353,12 @@ class CostEstimate:
     cost: float
 
 
-class PlannerCounters:
-    """Thread-safe planner observability counters."""
-
-    _FIELDS = (
-        "plans_costed",
-        "join_orders_considered",
-        "join_orders_rewritten",
-        "hydrate_placements_flipped",
-        "aggregates_pushed",
-        "distincts_pushed",
-    )
-
-    def __init__(self) -> None:
-        self._lock = make_lock("engine.planner_counters")
-        self._counts = dict.fromkeys(self._FIELDS, 0)
-
-    def record(self, name: str, count: int = 1) -> None:
-        if name not in self._counts:
-            raise KeyError(f"unknown planner counter {name!r}")
-        with self._lock:
-            self._counts[name] += count
-
-    def to_json(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-
 class CostModel:
     """Prices logical plans from catalog statistics.
 
     All constants are in abstract units relative to ``EMIT_ROW`` = the
-    cost of streaming one tuple through an operator.  They were picked
-    by calibrating the model against un-rewritten plans on skewed join,
-    top-k aggregate and hydrate-placement workloads, not measured per
-    machine — only the *relative ordering* of plan alternatives matters.
+    cost of streaming one tuple through an operator, calibrated against
+    each other rather than measured per machine.
     """
 
     #: Defaults when a table or column has no statistics at all.
@@ -446,16 +411,6 @@ class CostModel:
     def estimate(self, root: lp.PlanNode) -> CostEstimate:
         """Cardinality + cost of ``root``, bottom-up."""
         return self._estimate(root, self._alias_map(root))
-
-    def filter_selectivity(
-        self, predicate: Expression | None, child: lp.PlanNode
-    ) -> float:
-        """Fraction of ``child``'s rows surviving ``predicate``."""
-        if predicate is None:
-            return 1.0
-        return self._selectivity(
-            predicate, self._schema_of(child), self._alias_map(child)
-        )
 
     def hydration_cost_per_row(
         self, table: str, instances: tuple[str, ...] | None
@@ -563,17 +518,7 @@ class CostModel:
                 rows *= 0.5
                 cost += (left.rows + right.rows) * self.GROUP_ROW
             return CostEstimate(rows, cost)
-        # Unknown node type: pass the (single) child through unchanged.
-        children = node.children()
-        if len(children) == 1:
-            return self._estimate(children[0], aliases)
-        total_rows = 0.0
-        total_cost = 0.0
-        for child_node in children:
-            child = self._estimate(child_node, aliases)
-            total_rows += child.rows
-            total_cost += child.cost
-        return CostEstimate(max(total_rows, 1.0), total_cost)
+        raise PlanError(f"cannot price {type(node).__name__}")
 
     def _estimate_scan(self, node: lp.Scan) -> CostEstimate:
         base = self._table_rows(node.table)
@@ -878,6 +823,5 @@ __all__ = [
     "CatalogStatistics",
     "CostEstimate",
     "CostModel",
-    "PlannerCounters",
     "TableStats",
 ]

@@ -1,4 +1,4 @@
-"""The EXPLAIN surface of the cost-based planner.
+"""The EXPLAIN surface: prepared plans priced by the cost model.
 
 ``InsightNotes.explain(sql)`` returns an :class:`Explanation` — a
 ``str`` subclass, so every existing caller that treats the rendering as

@@ -264,10 +264,11 @@ class Distinct(PlanNode):
 class StorageAggregate(PlanNode):
     """A GROUP BY (or DISTINCT) executed entirely inside storage.
 
-    The cost planner lowers ``GroupBy``/``Distinct`` over a bare scan to
-    this leaf when the scanned table is provably summary-free (no linked
+    The planner lowers ``GroupBy``/``Distinct`` over a bare scan to this
+    leaf whenever the scanned table is provably summary-free (no linked
     instances, no attachments — so merging summaries during grouping is
-    a no-op) and the backend is single-shard.  SQLite then does the
+    a no-op), the scan has no storage LIMIT and the backend is
+    single-shard.  SQLite then does the
     grouping in C and only group rows cross into Python.
 
     ``key_columns``/``aggregates`` use the table's *storage* column

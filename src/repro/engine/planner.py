@@ -12,7 +12,9 @@ that the rest of the plan does not need.
 The planner also pushes single-relation WHERE conjuncts below joins and
 turns join-condition conjuncts into join predicates (enabling the hash
 join); these rewrites move whole tuples, never individual annotations, so
-they are summary-neutral.
+they are summary-neutral.  Joins run in FROM order.  Every rewrite is
+a rule that fires whenever its correctness gates hold; the cost model
+(:attr:`Planner.cost_model`) only prices finished plans (DESIGN.md §13).
 
 Set the ``normalize_plans`` attribute to False to lower plans as written —
 the EXP-QP3 ablation uses this to demonstrate that merge-before-project
@@ -23,12 +25,11 @@ the same way.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from collections.abc import Iterator, Sequence
 from typing import TYPE_CHECKING
 
 from repro.engine import plan as lp
-from repro.engine.cost import CatalogStatistics, CostModel, PlannerCounters
+from repro.engine.cost import CatalogStatistics, CostModel
 from repro.engine.expressions import (
     BooleanOp,
     Expression,
@@ -58,10 +59,6 @@ from repro.engine.operators import (
 from repro.engine.pushdown import compile_conjuncts
 from repro.errors import PlanError
 
-#: Join regions up to this many relations are ordered by exhaustive
-#: enumeration; larger regions fall back to a greedy cheapest-next order.
-MAX_EXHAUSTIVE_JOIN_LEAVES = 5
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.maintenance.incremental import SummaryManager
     from repro.storage.annotations import AnnotationStore
@@ -88,11 +85,8 @@ class Planner:
         #: The Theorems 1-2 ablation switches (see the module docstring).
         self.normalize_plans = True
         self.push_selections = True
-        #: Feeds the cost-driven rewrites (join order, hydrate placement,
-        #: storage aggregation); without statistics the cost model falls
-        #: back to its defaults.
+        #: Feeds :attr:`cost_model`, which prices EXPLAIN and traces only.
         self._statistics = statistics
-        self.counters = PlannerCounters()
         if scan_block_size < 1:
             raise ValueError(
                 f"scan_block_size must be >= 1, got {scan_block_size}"
@@ -345,165 +339,18 @@ class Planner:
             return node
         return lp.Project(node, tuple(needed))
 
-    # -- cost-driven join ordering ------------------------------------
-
-    def reorder_joins(self, node: lp.PlanNode) -> lp.PlanNode:
-        """Pick the cheapest join order for each inner-join region.
-
-        A *region* is a maximal tree of non-outer joins; its leaves and
-        the pooled join-predicate conjuncts are order-independent, so
-        any left-deep chain over the same leaves is tuple-equivalent,
-        and (post-normalization, Theorems 1–2) summary-equivalent too.
-        Outer joins are barriers — their operand order is semantic —
-        but their subtrees still reorder internally.  The original tree
-        always competes as a candidate, so a region is only rewritten
-        when the model prices an alternative strictly cheaper.
-        """
-        if isinstance(node, lp.Join) and not node.outer:
-            leaves, conjuncts = self._collect_join_region(node)
-            leaves = [self.reorder_joins(leaf) for leaf in leaves]
-            return self._order_join_region(node, leaves, conjuncts)
-        return _rebuild_with_children(
-            node, tuple(self.reorder_joins(c) for c in node.children())
-        )
-
-    def _collect_join_region(
-        self, node: lp.PlanNode
-    ) -> tuple[list[lp.PlanNode], list[Expression]]:
-        """Flatten a region into its leaf subtrees + pooled conjuncts."""
-        leaves: list[lp.PlanNode] = []
-        conjuncts: list[Expression] = []
-
-        def visit(current: lp.PlanNode) -> None:
-            if isinstance(current, lp.Join) and not current.outer:
-                if current.predicate is not None:
-                    conjuncts.extend(_split_conjuncts(current.predicate))
-                visit(current.left)
-                visit(current.right)
-            else:
-                leaves.append(current)
-
-        visit(node)
-        return leaves, conjuncts
-
-    def _order_join_region(
-        self,
-        original: lp.PlanNode,
-        leaves: list[lp.PlanNode],
-        conjuncts: list[Expression],
-    ) -> lp.PlanNode:
-        model = self.cost_model
-        original_schema = self.schema_of(original)
-        best = _rebuild_region(original, leaves)
-        best_cost = model.estimate(best).cost
-        orders = self._candidate_orders(leaves, conjuncts, model)
-        self.counters.record("join_orders_considered", len(orders))
-        rewritten = False
-        for order in orders:
-            candidate = self._build_join_chain(leaves, order, conjuncts)
-            if candidate is None:
-                continue
-            cost = model.estimate(candidate).cost
-            if cost < best_cost:
-                best, best_cost, rewritten = candidate, cost, True
-        if not rewritten:
-            return best
-        self.counters.record("join_orders_rewritten")
-        # Restore the original column order; normalization collapses
-        # this projection into its own pruning.
-        return lp.Project(best, original_schema)
-
-    def _candidate_orders(
-        self,
-        leaves: list[lp.PlanNode],
-        conjuncts: list[Expression],
-        model: CostModel,
-    ) -> list[tuple[int, ...]]:
-        indices = tuple(range(len(leaves)))
-        if len(leaves) < 2:
-            return []
-        if len(leaves) <= MAX_EXHAUSTIVE_JOIN_LEAVES:
-            return list(itertools.permutations(indices))
-        return [indices, self._greedy_order(leaves, conjuncts, model)]
-
-    def _greedy_order(
-        self,
-        leaves: list[lp.PlanNode],
-        conjuncts: list[Expression],
-        model: CostModel,
-    ) -> tuple[int, ...]:
-        """Cheapest-next heuristic for regions too wide to enumerate."""
-        remaining = list(range(len(leaves)))
-        start = min(remaining, key=lambda i: model.estimate(leaves[i]).rows)
-        order = [start]
-        remaining.remove(start)
-        while remaining:
-            scored: list[tuple[float, int]] = []
-            for candidate in remaining:
-                chain = self._build_join_chain(
-                    leaves, tuple(order + [candidate]), conjuncts
-                )
-                cost = (
-                    model.estimate(chain).cost
-                    if chain is not None
-                    else float("inf")
-                )
-                scored.append((cost, candidate))
-            _, chosen = min(scored)
-            order.append(chosen)
-            remaining.remove(chosen)
-        return tuple(order)
-
-    def _build_join_chain(
-        self,
-        leaves: list[lp.PlanNode],
-        order: tuple[int, ...],
-        conjuncts: list[Expression],
-    ) -> lp.PlanNode | None:
-        """Left-deep chain over ``leaves`` in ``order``.
-
-        Each pooled conjunct attaches to the first join where it fully
-        resolves; joins with no applicable conjunct become crosses (the
-        cost model prices them accordingly).  When building a prefix
-        (greedy scoring), unplaced conjuncts are simply left off.
-        """
-        current = leaves[order[0]]
-        schema = self.schema_of(current)
-        remaining = list(range(len(conjuncts)))
-        for index in order[1:]:
-            leaf = leaves[index]
-            combined = schema + self.schema_of(leaf)
-            applicable = [
-                i
-                for i in remaining
-                if _all_resolvable(
-                    conjuncts[i].referenced_columns(), combined
-                )
-            ]
-            remaining = [i for i in remaining if i not in applicable]
-            predicate = conjunction([conjuncts[i] for i in applicable])
-            current = lp.Join(current, leaf, predicate)
-            schema = combined
-        if remaining and len(order) == len(leaves):
-            # A conjunct that resolves nowhere (shouldn't happen for a
-            # well-formed region) keeps its tuple semantics as a
-            # selection above the chain.
-            predicate = conjunction([conjuncts[i] for i in remaining])
-            assert predicate is not None
-            current = lp.Select(current, predicate)
-        return current
-
-    # -- cost-driven aggregation pushdown -----------------------------
+    # -- aggregation pushdown -----------------------------------------
 
     def push_down_aggregates(self, node: lp.PlanNode) -> lp.PlanNode:
         """Lower GROUP BY / DISTINCT over summary-free scans to storage.
 
-        Gated three ways to preserve Theorem 1–2 equivalence and result
-        bytes: the scanned table must be provably summary-free (no
-        linked instances, no attachments — grouping then merges nothing),
-        the backend single-shard (GROUP_CONCAT/AVG don't merge across
-        partial aggregates), and the lowering strictly cheaper under the
-        cost model.
+        Gated to preserve Theorem 1–2 equivalence and result bytes: the
+        scanned table must be provably summary-free (no linked
+        instances, no attachments — grouping then merges nothing), the
+        backend single-shard (GROUP_CONCAT/AVG don't merge across
+        partial aggregates), and the scan free of a storage LIMIT.
+        Where they hold the lowering always runs: SQLite then streams
+        only the group rows.
         """
         rebuilt = _rebuild_with_children(
             node, tuple(self.push_down_aggregates(c) for c in node.children())
@@ -512,24 +359,16 @@ class Planner:
             lowered = self._lower_aggregate(
                 rebuilt.child, rebuilt.keys, rebuilt.aggregates, distinct=False
             )
-            if lowered is not None and self._cheaper(lowered, rebuilt):
-                self.counters.record("aggregates_pushed")
+            if lowered is not None:
                 if rebuilt.having is not None:
                     return lp.Select(lowered, rebuilt.having)
                 return lowered
         if isinstance(rebuilt, lp.Distinct):
             keys = self.schema_of(rebuilt.child)
-            lowered = self._lower_aggregate(
-                rebuilt.child, keys, (), distinct=True
-            )
-            if lowered is not None and self._cheaper(lowered, rebuilt):
-                self.counters.record("distincts_pushed")
+            lowered = self._lower_aggregate(rebuilt.child, keys, (), distinct=True)
+            if lowered is not None:
                 return lowered
         return rebuilt
-
-    def _cheaper(self, candidate: lp.PlanNode, baseline: lp.PlanNode) -> bool:
-        model = self.cost_model
-        return model.estimate(candidate).cost < model.estimate(baseline).cost
 
     def _lower_aggregate(
         self,
@@ -753,42 +592,21 @@ class Planner:
         return _rebuild_with_children(node, children), None
 
     def _split_residual_select(self, node: lp.Select) -> lp.PlanNode | None:
-        """Cost-driven hydrate placement for mixed residual selections.
+        """Split a residual selection mixing value and summary conjuncts.
 
-        A selection mixing value-only and summary-function conjuncts is
-        a hydration barrier under the fixed rules: every row below it
-        hydrates.  Splitting it evaluates the value-only conjuncts on
-        plain tuples first and hydrates only the survivors — identical
-        rows, identical order (Select preserves order), identical
-        summaries (hydration commutes with value-only filtering) — so
-        the flip is taken whenever the model prices the saved hydration
-        above zero.
+        The value-only part filters plain tuples below the Hydrate, so
+        only survivors hydrate.  Hydration commutes with value-only
+        filtering (same rows, order and summaries): never worse.
         """
         conjuncts = _split_conjuncts(node.predicate)
-        value_conjuncts = [c for c in conjuncts if not uses_summaries(c)]
-        summary_conjuncts = [c for c in conjuncts if uses_summaries(c)]
-        if not value_conjuncts or not summary_conjuncts:
+        value = conjunction([c for c in conjuncts if not uses_summaries(c)])
+        summary = conjunction([c for c in conjuncts if uses_summaries(c)])
+        if value is None or summary is None:
             return None
-        value_predicate = conjunction(value_conjuncts)
-        summary_predicate = conjunction(summary_conjuncts)
-        assert value_predicate is not None and summary_predicate is not None
-        inner = lp.Select(node.child, value_predicate)
-        rewritten, scan = self._hydrate_chain(inner)
+        rewritten, scan = self._hydrate_chain(lp.Select(node.child, value))
         if scan is None:
             return None  # no chain below: the plain barrier is as good
-        model = self.cost_model
-        child_rows = model.estimate(node.child).rows
-        survivors = model.filter_selectivity(value_predicate, node.child)
-        saved = (
-            child_rows
-            * (1.0 - survivors)
-            * model.hydration_cost_per_row(scan.table, scan.instances)
-        )
-        if saved <= 0.0:
-            return None
-        self.counters.record("hydrate_placements_flipped")
-        hydrated = self._wrap_hydrate(rewritten, scan)
-        return lp.Select(hydrated, summary_predicate)
+        return lp.Select(self._wrap_hydrate(rewritten, scan), summary)
 
     # -- physical lowering -----------------------------------------------
 
@@ -801,19 +619,17 @@ class Planner:
         """
         if self.push_selections:
             node = self.push_down_selections(node)
-        # Cost rewrites are gated on normalization: Theorems 1-2 make
-        # the alternatives summary-equivalent only with project-out
-        # before merge in force.
         if self.normalize_plans:
-            node = self.reorder_joins(node)
             node = self.normalize(node)
         node = self.push_into_storage(node)
         node = self.push_down_limits(node)
+        # Aggregate lowering is gated on normalization: Theorems 1-2
+        # make it summary-equivalent only with project-out before merge
+        # in force.
         if self.normalize_plans:
             node = self.push_down_aggregates(node)
         if hydrate:
             node = self.insert_hydration(node)
-        self.counters.record("plans_costed")
         return node
 
     def physical(
@@ -947,26 +763,6 @@ def _resolve_all(columns: set[str], schema: tuple[str, ...]) -> list[str]:
 def _merge_required(base: Sequence[str], extra: Sequence[str]) -> list[str]:
     """Union two required-column lists, keeping first-seen order."""
     return list(dict.fromkeys([*base, *extra]))
-
-
-def _rebuild_region(
-    node: lp.PlanNode, leaves: Sequence[lp.PlanNode]
-) -> lp.PlanNode:
-    """Rebuild a join region's original shape over (rewritten) leaves.
-
-    ``leaves`` must be in the region's visit order (the order
-    ``_collect_join_region`` produced them in).
-    """
-    iterator = iter(leaves)
-
-    def rebuild(current: lp.PlanNode) -> lp.PlanNode:
-        if isinstance(current, lp.Join) and not current.outer:
-            left = rebuild(current.left)
-            right = rebuild(current.right)
-            return lp.Join(left, right, current.predicate, current.outer)
-        return next(iterator)
-
-    return rebuild(node)
 
 
 def _scan_under_projects(node: lp.PlanNode) -> lp.Scan | None:

@@ -46,8 +46,8 @@ class QueryResult:
     cost_estimate:
         The cost model's abstract-unit estimate of re-running the plan
         (:class:`~repro.engine.cost.CostModel`); 0.0 when the session
-        did not price the plan.  The zoom-in cache's admission policy
-        uses this as the recompute price.
+        did not price the plan.  Only traces read it: planning, cache
+        admission and RCO ranking never do.
     elapsed_seconds:
         Wall-clock execution time.
     trace:

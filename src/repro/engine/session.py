@@ -52,7 +52,6 @@ from repro.storage.database import Database
 from repro.storage.planner_stats import PlannerStatsStore
 from repro.summaries.base import SummaryInstance
 from repro.summaries.registry import SummaryTypeRegistry
-from repro.zoomin.admission import AdmitAll
 from repro.zoomin.command import ZoomInCommand
 from repro.zoomin.executor import ZoomInExecutor, ZoomInResult
 from repro.zoomin.rco import RCOPolicy
@@ -106,10 +105,11 @@ class InsightNotes:
         sub-batches concurrently and scans scatter-gather in global row
         order.  File-backed paths only; see DESIGN.md §11.
 
-    Every query runs one pipeline: sargable predicates and LIMIT are
-    compiled into the storage scan, summaries are hydrated lazily above
-    the residual selection, and catalog statistics drive join ordering,
-    hydrate placement and storage-side aggregation (DESIGN.md §8, §13).
+    Every query runs one rule-based pipeline: joins in FROM order,
+    sargable predicates and LIMIT compiled into the storage scan,
+    summary-free GROUP BY/DISTINCT run inside SQLite, and summaries
+    hydrated lazily above the value-only residual (DESIGN.md §8, §13).
+    Catalog statistics only price plans, for :meth:`explain` and traces.
     The Theorems 1-2 project-before-merge normalization is always on;
     the plan-equivalence ablation switches it off through the
     ``planner.normalize_plans`` attribute.  Statistics seed themselves
@@ -165,7 +165,6 @@ class InsightNotes:
             disk_bytes=cache_disk_bytes,
             policy=RCOPolicy(),
             disk_store=disk_store,
-            admission=AdmitAll(),
             trace_store=self.traces,
         )
         self._zoomin = ZoomInExecutor(
@@ -620,9 +619,8 @@ class InsightNotes:
             )
         result.trace = tracer
         self.stats_registry.observe_execution(prepared, stats)
-        # Price the plan's recompute cost once, after the execution
-        # feedback lands (so the estimate sees the freshest row counts);
-        # the cache's admission policy and the trace both read it.
+        # Price the plan once, after the execution feedback lands (so
+        # the estimate sees the freshest row counts), for the trace.
         result.cost_estimate = self.planner.cost_model.estimate(prepared).cost
         return result
 
@@ -645,9 +643,8 @@ class InsightNotes:
         ``str`` rendering of the plan with per-operator cardinality and
         cost estimates (``[rows~N cost~C]``), that also carries the plan
         itself and a :meth:`~repro.engine.explain.Explanation.to_json`
-        structural view.  Estimates come from the same catalog
-        statistics the cost planner uses; :meth:`analyze` refreshes
-        them.
+        structural view.  Estimates come from the catalog statistics;
+        :meth:`analyze` refreshes them.
         """
         statement = parse_sql(sql)
         self._flatten_subqueries(statement)
@@ -713,10 +710,7 @@ class InsightNotes:
                 "hit_ratio": contribution_stats.hit_ratio,
             },
             "queries_registered": len(self.results),
-            "planner": {
-                **self.planner.counters.to_json(),
-                "stats": self.stats_registry.freshness(),
-            },
+            "planner": {"stats": self.stats_registry.freshness()},
             "zoomin": self.cache.stats_json(),
             "traces_retained": len(self.traces),
         }

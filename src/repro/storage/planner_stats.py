@@ -1,6 +1,6 @@
 """Persistence for the planner's catalog statistics.
 
-The cost-based planner (DESIGN.md §13) prices plans from per-table
+The cost model (DESIGN.md §13) prices plans from per-table
 statistics — row counts, per-column distinct-value estimates, per-
 instance summary-object cardinality and serialized size.  Those numbers
 are collected by ``InsightNotes.analyze()`` and kept **current** in

@@ -10,17 +10,11 @@ classifier label, a cluster group, or a snippet — with the ZOOMIN command
 Execution is served by one limited cache, :class:`TieredZoomInCache`, in
 which query results compete for space under the **RCO** replacement
 policy (Recency, Complexity, Overhead + zoom-in reference frequency): a
-memory tier, optionally over a SQLite disk tier, with pluggable admission
-and single-flight recompute.  LRU / LFU / FIFO / size-based baselines
-are provided for the EXP-Z1 benchmark.
+memory tier, optionally over a SQLite disk tier, that admits every
+result that fits, with single-flight recompute.  LRU / LFU / FIFO /
+size-based baselines are provided for the EXP-Z1 benchmark.
 """
 
-from repro.zoomin.admission import (
-    AdmissionPolicy,
-    AdmissionVerdict,
-    AdmitAll,
-    CostAwareAdmission,
-)
 from repro.zoomin.command import ZoomInCommand, parse_zoomin
 from repro.zoomin.executor import ZoomInExecutor, ZoomInMatch, ZoomInResult
 from repro.zoomin.policies import (
@@ -41,11 +35,7 @@ from repro.zoomin.tracing import (
 )
 
 __all__ = [
-    "AdmissionPolicy",
-    "AdmissionVerdict",
-    "AdmitAll",
     "CacheEvent",
-    "CostAwareAdmission",
     "FIFOPolicy",
     "LFUPolicy",
     "LRUPolicy",

@@ -18,16 +18,14 @@ deterministic and testable.
   time.  With ``disk_bytes=0`` there is no disk tier: no store is
   opened, nothing is ever serialized, and a memory victim is dropped.
 
-* **Admission before any bytes move.**  Candidates are priced by the
-  cost model's recompute estimate and ruled on by an
-  :class:`~repro.zoomin.admission.AdmissionPolicy`; results too large
-  for the memory tier are admitted straight to disk when they fit there
-  (and stay there after a hit).  The entry being admitted or promoted
-  is never its own victim, and pinned entries are never victims.
+* **One admission rule.**  Every result that fits is admitted, as in
+  the paper, and RCO decides what stays.  A result too large for the
+  memory tier is admitted straight to disk when it fits there (and
+  stays there after a hit); one too large for every tier is rejected.
+  The entry being admitted or promoted is never its own victim.
 
 * **RCO ranks by structural complexity.**  Every entry's ``cost`` is the
-  query's ``plan_cost`` — RCO's "Complexity" factor — whatever price
-  admission ruled on.
+  query's ``plan_cost`` — RCO's "Complexity" factor.
 
 * **Single-flight recompute.**  Concurrent zoom-ins referencing the
   same evicted qid coalesce onto one re-execution via per-qid in-flight
@@ -57,12 +55,6 @@ from typing import Any
 
 from repro.concurrency import LockLike, make_lock
 from repro.engine.results import QueryResult
-from repro.zoomin.admission import (
-    REJECTED_OVERSIZE,
-    AdmissionPolicy,
-    AdmissionVerdict,
-    CostAwareAdmission,
-)
 from repro.zoomin.policies import CacheEntry, ReplacementPolicy
 from repro.zoomin.rco import RCOPolicy
 from repro.zoomin.stores import SQLiteResultStore
@@ -84,8 +76,6 @@ class TierCounters:
     disk_hits: int = 0
     misses: int = 0
     insertions: int = 0
-    pinned_insertions: int = 0
-    rejected_cheap: int = 0
     rejected_oversize: int = 0
     promotions: int = 0
     demotions: int = 0
@@ -104,14 +94,12 @@ class TierCounters:
         return hits / total if total else 0.0
 
     def to_json(self) -> dict[str, Any]:
-        payload = {
+        return {
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "misses": self.misses,
             "hit_ratio": round(self.hit_ratio, 4),
             "insertions": self.insertions,
-            "pinned_insertions": self.pinned_insertions,
-            "rejected_cheap": self.rejected_cheap,
             "rejected_oversize": self.rejected_oversize,
             "promotions": self.promotions,
             "demotions": self.demotions,
@@ -122,7 +110,18 @@ class TierCounters:
             "invalidations": self.invalidations,
             "warm_loaded": self.warm_loaded,
         }
-        return payload
+
+
+def _new_entry(result: QueryResult, size: int, now: int) -> CacheEntry:
+    """Replacement metadata of a freshly admitted ``result``."""
+    return CacheEntry(
+        qid=result.qid,
+        size_bytes=size,
+        cost=result.plan_cost,
+        inserted_at=now,
+        last_access=now,
+        access_count=0,
+    )
 
 
 class _Flight:
@@ -147,7 +146,7 @@ class _FlightStripe:
 
 
 class TieredZoomInCache:
-    """RCO result cache with admission control and single-flight.
+    """RCO result cache with a disk tier and single-flight recompute.
 
     Parameters
     ----------
@@ -163,8 +162,6 @@ class TieredZoomInCache:
         SQLite store).  When the store already holds entries (a cache
         file from a previous process) their metadata is warm-loaded so
         the disk tier starts populated.
-    admission:
-        Admission policy; defaults to :class:`CostAwareAdmission`.
     trace_store:
         Optional sink for per-qid cache events.
     n_stripes:
@@ -177,7 +174,6 @@ class TieredZoomInCache:
         disk_bytes: int = 16 * 1024 * 1024,
         policy: ReplacementPolicy | None = None,
         disk_store: SQLiteResultStore | None = None,
-        admission: AdmissionPolicy | None = None,
         trace_store: TraceStore | None = None,
         n_stripes: int = 8,
     ) -> None:
@@ -192,7 +188,6 @@ class TieredZoomInCache:
         self.memory_bytes = memory_bytes
         self.disk_bytes = disk_bytes
         self.policy = policy or RCOPolicy()
-        self.admission = admission or CostAwareAdmission()
         self.counters = TierCounters()
         self._disk_store = (
             (disk_store or SQLiteResultStore()) if disk_bytes else None
@@ -206,8 +201,6 @@ class TieredZoomInCache:
         self._entries_memory: dict[int, CacheEntry] = {}
         self._entries_disk: dict[int, CacheEntry] = {}
         self._memory: dict[int, QueryResult] = {}
-        self._pinned: set[int] = set()
-        self._pinned_bytes = 0
         self._memory_bytes_used = 0
         self._disk_bytes_used = 0
         self._clock = 0
@@ -277,11 +270,6 @@ class TieredZoomInCache:
                 return SOURCE_DISK
             return None
 
-    def pinned_qids(self) -> list[int]:
-        """QIDs the replacement policy may not evict, sorted."""
-        with self._lock:
-            return sorted(self._pinned)
-
     def stats_json(self) -> dict[str, Any]:
         """Counters plus per-tier occupancy, as one JSON-able payload."""
         with self._lock:
@@ -292,8 +280,6 @@ class TieredZoomInCache:
                         "capacity_bytes": self.memory_bytes,
                         "bytes_used": self._memory_bytes_used,
                         "entries": len(self._entries_memory),
-                        "pinned_entries": len(self._pinned),
-                        "pinned_bytes": self._pinned_bytes,
                     },
                     "disk": {
                         "capacity_bytes": self.disk_bytes,
@@ -357,29 +343,24 @@ class TieredZoomInCache:
         self, qid: int, result: QueryResult, now: int
     ) -> tuple[QueryResult | None, str]:
         """Serve a disk hit read at tick ``now``, promoting the entry
-        into the memory tier unless admission rules it oversize there."""
+        into the memory tier unless it is too large for that tier."""
         events: list[CacheEvent] = [CacheEvent("hit-disk", tier="disk")]
         victims: list[tuple[QueryResult, CacheEntry]] = []
         refresh: tuple[int, int] | None = None
         promoted = False
         with self._lock:
+            self.counters.disk_hits += 1
             disk_entry = self._entries_disk.get(qid)
             if disk_entry is None:
                 # Invalidated between the probe and here; serve the
                 # payload we already read but do not re-admit it.
-                self.counters.disk_hits += 1
                 return result, SOURCE_DISK
-            self.counters.disk_hits += 1
             disk_entry.last_access = now
             disk_entry.access_count += 1
             mem_size = result.size_estimate()
-            verdict = self.admission.assess(
-                mem_size, disk_entry.cost, self.memory_bytes
-            )
-            if verdict.reason == REJECTED_OVERSIZE:
-                # Admission keeps it out of the hot tier: stays
-                # disk-resident; its refreshed reference counts are
-                # persisted below.
+            if mem_size > self.memory_bytes:
+                # Too large for the hot tier: stays disk-resident; its
+                # refreshed reference counts are persisted below.
                 refresh = (disk_entry.access_count, disk_entry.last_access)
             else:
                 del self._entries_disk[qid]
@@ -404,110 +385,59 @@ class TieredZoomInCache:
 
     # -- admission -----------------------------------------------------
 
-    def put(
-        self, result: QueryResult, cost: float | None = None
-    ) -> AdmissionVerdict:
-        """Offer ``result`` for residency; returns the verdict.
+    def put(self, result: QueryResult) -> bool:
+        """Offer ``result`` for residency; True when it is resident.
 
-        ``cost`` is the recompute price admission rules on, in
-        cost-model units; defaults to the result's own
-        :attr:`~repro.engine.results.QueryResult.cost_estimate` (falling
-        back to the structural plan cost when no estimate was computed).
-        The entry RCO ranks always carries the structural ``plan_cost``.
+        A result that fits the memory tier is admitted there; a larger
+        one goes to the disk tier when there is one and it fits.  The
+        entry RCO ranks carries the structural ``plan_cost``.
         """
-        recompute_cost = (
-            cost
-            if cost is not None
-            else (result.cost_estimate or float(result.plan_cost))
-        )
         size = result.size_estimate()
         qid = result.qid
         victims: list[tuple[QueryResult, CacheEntry]] = []
-        dropped: str | None = None
         with self._lock:
             now = self._tick()
-            verdict = self.admission.assess(
-                size, recompute_cost, self.memory_bytes, self._pinned_bytes
-            )
-            oversize = verdict.reason == REJECTED_OVERSIZE
-            if verdict.admitted or oversize:
-                # (Re-)admission refreshes: drop any prior residency.
-                dropped = self._drop_locked(qid)
-            if verdict.admitted:
-                self._entries_memory[qid] = CacheEntry(
-                    qid=qid,
-                    size_bytes=size,
-                    cost=result.plan_cost,
-                    inserted_at=now,
-                    last_access=now,
-                    access_count=0,
-                )
+            # (Re-)admission refreshes: drop any prior residency.
+            dropped = self._drop_locked(qid)
+            fits = size <= self.memory_bytes
+            if fits:
+                self._entries_memory[qid] = _new_entry(result, size, now)
                 self._memory[qid] = result
                 self._memory_bytes_used += size
-                if verdict.pinned:
-                    self._pinned.add(qid)
-                    self._pinned_bytes += size
-                    self.counters.pinned_insertions += 1
                 self.counters.insertions += 1
-                event = CacheEvent("admit", tier="memory", detail=verdict.reason)
                 victims = self._collect_memory_overflow(now, keep=qid)
-            else:
-                event = CacheEvent("reject", detail=verdict.reason)
-                if not oversize:
-                    self.counters.rejected_cheap += 1
-                elif self._disk_store is None:
-                    self.counters.rejected_oversize += 1
-        if oversize and self._disk_store is not None:
-            # The disk write upserts over any stale payload of this qid.
-            return self._admit_to_disk(result, now, verdict)
+        if not fits:
+            # A disk write upserts over any stale payload of this qid.
+            return self._admit_to_disk(result, now)
         if dropped == SOURCE_DISK:
             self._store.delete(qid)
         self._flush_victims(victims)
-        self._emit(qid, [event])
-        return verdict
+        self._emit(qid, [CacheEvent("admit", tier="memory", detail="admitted")])
+        return True
 
-    def _admit_to_disk(
-        self,
-        result: QueryResult,
-        now: int,
-        memory_verdict: AdmissionVerdict,
-    ) -> AdmissionVerdict:
-        """Oversized-for-memory results go straight to the disk tier."""
+    def _admit_to_disk(self, result: QueryResult, now: int) -> bool:
+        """Oversized-for-memory results go to the disk tier if it has room."""
         qid = result.qid
-        size = self._store.put(
-            result, cost=result.plan_cost, access_count=0, last_access=now
-        )
-        if size > self.disk_bytes:
-            self._store.delete(qid)
-            with self._lock:
-                self.counters.rejected_oversize += 1
-            self._emit(
-                qid, [CacheEvent("reject", detail=REJECTED_OVERSIZE)]
+        if self._disk_store is not None:
+            size = self._disk_store.put(
+                result, cost=result.plan_cost, access_count=0, last_access=now
             )
-            return memory_verdict
+            if size <= self.disk_bytes:
+                with self._lock:
+                    self._entries_disk[qid] = _new_entry(result, size, now)
+                    self._disk_bytes_used += size
+                    self.counters.insertions += 1
+                self._emit(
+                    qid,
+                    [CacheEvent("admit", tier="disk", detail="oversize-for-memory")],
+                )
+                self._shed_disk_overflow(keep=qid)
+                return True
+            self._disk_store.delete(qid)
         with self._lock:
-            self._entries_disk[qid] = CacheEntry(
-                qid=qid,
-                size_bytes=size,
-                cost=result.plan_cost,
-                inserted_at=now,
-                last_access=now,
-                access_count=0,
-            )
-            self._disk_bytes_used += size
-            self.counters.insertions += 1
-        self._emit(
-            qid,
-            [CacheEvent("admit", tier="disk", detail="oversize-for-memory")],
-        )
-        self._shed_disk_overflow(keep=qid)
-        return AdmissionVerdict(
-            admitted=True,
-            pinned=False,
-            reason="admitted",
-            recompute_cost=memory_verdict.recompute_cost,
-            size_bytes=size,
-        )
+            self.counters.rejected_oversize += 1
+        self._emit(qid, [CacheEvent("reject", detail="rejected-oversize")])
+        return False
 
     # -- eviction / demotion -------------------------------------------
 
@@ -515,18 +445,17 @@ class TieredZoomInCache:
         self, now: int, keep: int
     ) -> list[tuple[QueryResult, CacheEntry]]:
         """Pop memory victims until under budget, never ``keep`` (the
-        entry being admitted or promoted).  Caller holds _lock; the
-        returned (payload, entry) victims must go to
-        :meth:`_flush_victims` after releasing it."""
+        entry being admitted or promoted, which fits the tier on its own
+        — so a victim always exists).  Caller holds _lock; the returned
+        (payload, entry) victims must go to :meth:`_flush_victims` after
+        releasing it."""
         victims: list[tuple[QueryResult, CacheEntry]] = []
         while self._memory_bytes_used > self.memory_bytes:
             candidates = [
                 entry
                 for entry in self._entries_memory.values()
-                if entry.qid != keep and entry.qid not in self._pinned
+                if entry.qid != keep
             ]
-            if not candidates:
-                break  # everything left is pinned; tolerate overshoot
             victim = self.policy.victim(candidates, now)
             del self._entries_memory[victim.qid]
             self._memory_bytes_used -= victim.size_bytes
@@ -601,9 +530,6 @@ class TieredZoomInCache:
         if entry is not None:
             self._memory_bytes_used -= entry.size_bytes
             self._memory.pop(qid, None)
-            if qid in self._pinned:
-                self._pinned.discard(qid)
-                self._pinned_bytes -= entry.size_bytes
             return SOURCE_MEMORY
         disk_entry = self._entries_disk.pop(qid, None)
         if disk_entry is not None:
@@ -628,8 +554,6 @@ class TieredZoomInCache:
             self._entries_memory.clear()
             self._entries_disk.clear()
             self._memory.clear()
-            self._pinned.clear()
-            self._pinned_bytes = 0
             self._memory_bytes_used = 0
             self._disk_bytes_used = 0
         if self._disk_store is not None:
@@ -648,7 +572,7 @@ class TieredZoomInCache:
         """Serve ``qid`` from cache or compute it exactly once.
 
         Concurrent callers missing on the same qid coalesce: one leader
-        runs ``compute`` (and offers the result for admission), the rest
+        runs ``compute`` (and offers the result to :meth:`put`), the rest
         park on its flight and share the result.  Returns ``(result,
         source)`` with source one of ``memory`` / ``disk`` /
         ``recomputed`` / ``coalesced``.  A leader's exception propagates

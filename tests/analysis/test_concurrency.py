@@ -105,7 +105,6 @@ DOCUMENTED_INVENTORY = {
     "database.trace_counter": ("lock", False),
     "engine.cost_stats": ("lock", False),
     "engine.execution_stats": ("lock", False),
-    "engine.planner_counters": ("lock", False),
     "engine.results": ("lock", False),
     "maintenance.summary_manager": ("rlock", True),
     "pool.registry": ("lock", False),

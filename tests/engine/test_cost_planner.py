@@ -1,26 +1,26 @@
-"""Tests for the cost-based planner: statistics, rewrites, EXPLAIN.
+"""Tests for planning rules, statistics, the cost model and EXPLAIN.
 
-Covers the tentpole surfaces of DESIGN.md §13:
+Covers the surfaces of DESIGN.md §13:
 
 * catalog statistics — ``analyze()`` collection, persistence in the
   ``planner_stats`` table across sessions, incremental staleness
   tracking, and execution feedback;
-* the cost model — stats-driven cardinality estimates and the relative
-  ordering that drives rewrites;
-* the rewrites — join ordering, storage-side aggregation pushdown (and
-  its safety gates), and hydrate placement — each pinned to answer like
-  the un-rewritten plan under raw propagation (:mod:`tests.raw_oracle`);
+* the cost model — stats-driven cardinality estimates, which price
+  plans and decide nothing: planning never calls it;
+* the rules — joins in FROM order, storage-side aggregation pushdown
+  (and its safety gates), and the hydrate split — each pinned to answer
+  like the un-rewritten plan under raw propagation
+  (:mod:`tests.raw_oracle`);
 * EXPLAIN — the costed text rendering and its ``to_json`` form;
 * staleness — plans stay valid when ``planner_stats`` is empty, stale,
   or describes tables that no longer exist.
 """
 
-import pytest
-
 from repro.engine import plan as lp
-from repro.engine.cost import CostModel, PlannerCounters, TableStats
+from repro.engine.cost import CostModel, TableStats
 from repro.engine.explain import Explanation
 from repro.engine.session import InsightNotes
+from repro.engine.sqlparser import build_logical, parse_sql
 from repro.storage.planner_stats import PlannerStatsStore
 from tests.raw_oracle import RawOracle
 
@@ -182,38 +182,19 @@ class TestCostModel:
             estimate = model.estimate(lp.Scan("anything", "a"))
             assert estimate.rows == CostModel.DEFAULT_ROWS
 
-    def test_counters_reject_unknown_names(self):
-        counters = PlannerCounters()
-        counters.record("plans_costed")
-        assert counters.to_json()["plans_costed"] == 1
-        with pytest.raises(KeyError):
-            counters.record("no_such_counter")
 
-
-class TestJoinReorder:
-    def test_skewed_order_is_rewritten(self):
+class TestJoinsInFromOrder:
+    def test_star_join_answers_in_from_order(self):
         with make_star_session() as notes:
-            logical_sql = STAR_SQL
-            before = notes.planner.counters.to_json()
-            result = notes.query(logical_sql)
-            after = notes.planner.counters.to_json()
-            assert (
-                after["join_orders_considered"]
-                > before["join_orders_considered"]
-            )
-            assert (
-                after["join_orders_rewritten"]
-                > before["join_orders_rewritten"]
-            )
-            # Join order changes emission order, never content.
-            RawOracle(notes).check(result, logical_sql, ordered=False)
+            result = notes.query(STAR_SQL)
+            RawOracle(notes).check(result, STAR_SQL, ordered=False)
 
-    def test_reorder_preserves_output_schema(self):
+    def test_from_order_keeps_output_schema(self):
         with make_star_session() as notes:
             result = notes.query(STAR_SQL)
             assert result.columns == ("s.sname", "p.pname", "o.qty")
 
-    def test_outer_join_order_is_preserved(self):
+    def test_outer_join_answers_in_from_order(self):
         sql = (
             "SELECT s.sname, o.qty FROM suppliers s "
             "LEFT JOIN orders o ON s.sname = o.supplier"
@@ -343,18 +324,63 @@ class TestHydratePlacement:
             assert len(result.rows()) == 4
             assert result.stats.rows_scanned == 30
             assert result.stats.rows_hydrated == 4
-            assert (
-                notes.planner.counters.to_json()[
-                    "hydrate_placements_flipped"
-                ]
-                >= 1
-            )
+            # The value conjunct filters plain tuples below the Hydrate;
+            # the summary conjunct runs above it.
+            plan = notes.explain(self.SQL).plan
+            upper, lower = find_nodes(plan, lp.Select)
+            assert isinstance(upper.child, lp.Hydrate)
+            assert upper.child.child is lower
 
     def test_summaries_identical_after_split(self):
         with self.build() as notes:
             result = notes.query(self.SQL)
             assert set(result.tuples[0].summaries) == {"ObsClass"}
             RawOracle(notes).check(result, self.SQL)
+
+
+class TestPlanningIsCostFree:
+    """``prepare()`` applies rules: it never asks the cost model."""
+
+    @staticmethod
+    def prepare(notes, sql, monkeypatch):
+        """Prepare ``sql``; return the plan and the estimate calls made."""
+        calls = []
+        estimate = CostModel.estimate
+
+        def counting(model, root):
+            calls.append(root)
+            return estimate(model, root)
+
+        logical = build_logical(parse_sql(sql), notes.planner)
+        with monkeypatch.context() as patch:
+            patch.setattr(CostModel, "estimate", counting)
+            prepared = notes.planner.prepare(logical)
+        return prepared, calls
+
+    def test_three_way_join(self, monkeypatch):
+        with make_star_session() as notes:
+            plan, calls = self.prepare(notes, STAR_SQL, monkeypatch)
+            assert calls == []
+            assert len(find_nodes(plan, lp.Join)) == 2
+
+    def test_mixed_residual_selection(self, monkeypatch):
+        case = TestHydratePlacement()
+        with case.build() as notes:
+            plan, calls = self.prepare(notes, case.SQL, monkeypatch)
+            assert calls == []
+            upper, lower = find_nodes(plan, lp.Select)
+            assert isinstance(upper.child, lp.Hydrate)
+            assert upper.child.child is lower
+
+    def test_group_by_on_summary_free_table(self, monkeypatch):
+        with TestAggregatePushdown().build() as notes:
+            plan, calls = self.prepare(
+                notes,
+                "SELECT region, count(*) FROM readings GROUP BY region",
+                monkeypatch,
+            )
+            assert calls == []
+            assert find_nodes(plan, lp.StorageAggregate)
 
 
 class TestExplain:

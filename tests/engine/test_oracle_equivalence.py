@@ -1,20 +1,18 @@
-"""Property test: cost-based plans answer exactly like the rule plans.
+"""Property test: the session answers exactly like the raw oracle.
 
-The cost planner's contract is that it is *purely* a performance
-optimization: for any query, the session must produce what the rule
-plan — the normalized logical plan with no cost or storage rewrites —
-produces under raw annotation propagation (:mod:`tests.raw_oracle`):
-the same value rows, the same annotation ids per row, and summaries
-covering exactly those annotations.  Plan rewrites may change the
-*order* rows stream out of a join, so rows are compared sorted, the
+The planner's rewrites are *purely* performance optimizations: for any
+query, the session must produce what raw annotation propagation over
+the normalized plan, with no storage rewrites, produces
+(:mod:`tests.raw_oracle`): the same value rows, the same annotation ids
+per row, and summaries covering exactly those annotations.  Rows are compared sorted, the
 ``test_plan_equivalence`` discipline.
 
 Hypothesis draws queries from a grammar covering every rewrite the
-cost planner performs — multi-way joins in adversarial FROM orders,
-aggregations and DISTINCT over pushable and non-pushable tables, and
-mixed value/summary residual predicates (the hydrate-split shape) —
-against a session carrying all five summary types, at one shard and at
-four.
+planner performs — multi-way joins in every FROM order, aggregations
+and DISTINCT over pushable and non-pushable tables (storage-side
+aggregation), and mixed value/summary residual predicates (the hydrate
+split) — against a session carrying all five summary types, at one
+shard and at four.
 """
 
 from __future__ import annotations
@@ -165,7 +163,7 @@ _SETTINGS = settings(
 )
 
 
-class TestCostEquivalenceSingleShard:
+class TestOracleEquivalenceSingleShard:
     @pytest.fixture(scope="class")
     def pair(self):
         notes = _build_session(":memory:", shards=1)
@@ -174,12 +172,12 @@ class TestCostEquivalenceSingleShard:
 
     @given(sql=queries())
     @_SETTINGS
-    def test_cost_plans_match_rule_plans(self, pair, sql):
+    def test_session_matches_raw_oracle(self, pair, sql):
         notes, oracle = pair
         oracle.check(notes.query(sql), sql, ordered=False)
 
 
-class TestCostEquivalenceSharded:
+class TestOracleEquivalenceSharded:
     @pytest.fixture(scope="class")
     def pair(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -189,6 +187,6 @@ class TestCostEquivalenceSharded:
 
     @given(sql=queries())
     @_SETTINGS
-    def test_cost_plans_match_rule_plans(self, pair, sql):
+    def test_session_matches_raw_oracle(self, pair, sql):
         notes, oracle = pair
         oracle.check(notes.query(sql), sql, ordered=False)

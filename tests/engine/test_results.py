@@ -8,7 +8,6 @@ from repro.engine.results import PlanRecord, QueryResult, ResultRegistry
 from repro.errors import UnknownQueryIdError
 from repro.model.tuple import AnnotatedTuple
 from repro.summaries.classifier import ClassifierSummary
-from repro.zoomin.admission import AdmitAll
 from repro.zoomin.tiered import TieredZoomInCache
 
 _PLAN = lp.Scan("t", "t")
@@ -47,9 +46,7 @@ class TestQueryResult:
 
 def memory_cache(memory_bytes: int) -> TieredZoomInCache:
     """The session's cache shape: memory tier only, admit what fits."""
-    return TieredZoomInCache(
-        memory_bytes=memory_bytes, disk_bytes=0, admission=AdmitAll()
-    )
+    return TieredZoomInCache(memory_bytes=memory_bytes, disk_bytes=0)
 
 
 class TestResultRegistry:

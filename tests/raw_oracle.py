@@ -4,8 +4,8 @@
 :class:`repro.baselines.RawQueryEngine` over the *normalized* logical
 plan — selections pushed to their relations and un-needed columns
 projected out before every merge (Theorems 1–2) — with none of the
-engine's storage or cost rewrites: no predicate or LIMIT pushdown, no
-join reordering, no aggregation pushdown, no lazy hydration.  Every row
+engine's storage rewrites: no predicate or LIMIT pushdown, no
+aggregation pushdown, no lazy hydration.  Every row
 carries its raw annotations, so :meth:`RawOracle.check` can hold a
 summary-engine result to:
 

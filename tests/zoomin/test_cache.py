@@ -5,7 +5,6 @@ import pytest
 from repro import InsightNotes
 from repro.engine.results import QueryResult
 from repro.model.tuple import AnnotatedTuple
-from repro.zoomin.admission import AdmitAll
 from repro.zoomin.policies import FIFOPolicy, LRUPolicy, SizePolicy
 from repro.zoomin.rco import RCOPolicy
 from repro.zoomin.tiered import TieredZoomInCache
@@ -31,7 +30,6 @@ def make_cache(capacity_bytes: int = 4 * 1024 * 1024, policy=None):
         memory_bytes=capacity_bytes,
         disk_bytes=0,
         policy=policy or LRUPolicy(),
-        admission=AdmitAll(),
     )
 
 
@@ -39,7 +37,7 @@ class TestBasicOperations:
     def test_put_then_get(self):
         cache = make_cache(10_000)
         result = make_result(1)
-        assert cache.put(result).admitted
+        assert cache.put(result)
         assert cache.get(1) is result
         assert cache.counters.memory_hits == 1
 
@@ -56,9 +54,12 @@ class TestBasicOperations:
 
     def test_oversized_result_rejected(self):
         cache = make_cache(64)
-        assert not cache.put(make_result(1, rows=10)).admitted
+        assert not cache.put(make_result(1, rows=10))
         assert cache.counters.rejected_oversize == 1
         assert len(cache) == 0
+        # A result exactly the size of the tier still fits.
+        exact = make_result(2)
+        assert make_cache(exact.size_estimate()).put(exact)
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError, match="memory_bytes"):
@@ -153,7 +154,7 @@ class TestRetention:
             small.size_estimate() + big.size_estimate() - 1, SizePolicy()
         )
         cache.put(small)
-        assert cache.put(big).admitted
+        assert cache.put(big)
         assert cache.tier_of(2) == "memory"
         assert 1 not in cache
         assert cache.counters.memory_evictions == 1
@@ -177,9 +178,9 @@ class TestRetention:
         single = make_result(1).size_estimate()
         cache = make_cache(int(single * 2.5))
         for qid in (1, 2, 3):  # the third put evicts
-            assert cache.put(make_result(qid)).admitted
+            assert cache.put(make_result(qid))
         assert cache.counters.memory_evictions == 1
-        assert not cache.put(make_result(4, rows=10)).admitted  # oversize
+        assert not cache.put(make_result(4, rows=10))  # oversize
         assert cache.counters.rejected_oversize == 1
         assert cache.stats_json()["tiers"]["disk"]["entries"] == 0
 

@@ -5,7 +5,6 @@ import pytest
 from repro import InsightNotes
 from repro.engine.results import QueryResult
 from repro.summaries.registry import default_registry
-from repro.zoomin.admission import AdmitAll
 from repro.zoomin.stores import SQLiteResultStore
 from repro.zoomin.tiered import TieredZoomInCache
 from tests.conftest import TRAINING
@@ -122,7 +121,7 @@ class TestSQLiteResultStore:
         notes.close()
 
     def test_memory_store_charges_size_estimate(self, populated):
-        cache = TieredZoomInCache(disk_bytes=0, admission=AdmitAll())
+        cache = TieredZoomInCache(disk_bytes=0)
         result = populated.query("SELECT name FROM birds")
         cache.put(result)
         assert cache.memory_bytes_used == result.size_estimate()
@@ -204,7 +203,6 @@ def _disk_only_cache(store: SQLiteResultStore, disk_bytes: int):
         memory_bytes=1,
         disk_bytes=disk_bytes,
         disk_store=store,
-        admission=AdmitAll(),
     )
 
 
@@ -214,7 +212,8 @@ class TestCacheWithDiskStore:
             SQLiteResultStore(registry=populated.catalog.registry), 10**6
         )
         result = populated.query("SELECT name FROM birds")
-        assert cache.put(result).admitted
+        assert cache.put(result)  # too big for memory: goes to disk
+        assert cache.tier_of(result.qid) == "disk"
         revived = cache.get(result.qid)
         assert revived is not None
         assert revived.rows() == result.rows()
@@ -265,5 +264,4 @@ class TestCacheWithDiskStore:
         notes = InsightNotes()
         assert notes.cache.disk_bytes == 0
         assert notes.cache.stats_json()["policy"] == "RCO"
-        assert isinstance(notes.cache.admission, AdmitAll)
         notes.close()

@@ -1,5 +1,5 @@
-"""Tests for the zoom-in cache with a disk tier: tiers, admission,
-warm restart, single-flight and trace events."""
+"""Tests for the zoom-in cache with a disk tier: tiers, oversize
+admission, warm restart, single-flight and trace events."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from repro import InsightNotes
 from repro.engine.results import QueryResult
 from repro.model.tuple import AnnotatedTuple
-from repro.zoomin.admission import AdmitAll, CostAwareAdmission
 from repro.zoomin.executor import ZoomInExecutor
 from repro.zoomin.policies import SizePolicy
 from repro.zoomin.stores import SQLiteResultStore
@@ -20,7 +19,7 @@ from repro.zoomin.tracing import TraceStore
 
 
 def make_result(qid: int, rows: int = 4, pad: int = 32, cost: float = 100.0):
-    """A summary-free result of a controllable size and recompute cost."""
+    """A summary-free result of a controllable size and cost estimate."""
     tuples = [
         AnnotatedTuple(values=(f"row{qid}-{i}", "x" * pad)) for i in range(rows)
     ]
@@ -36,7 +35,6 @@ def make_result(qid: int, rows: int = 4, pad: int = 32, cost: float = 100.0):
 
 
 def make_cache(memory=64 * 1024, disk=256 * 1024, **kwargs):
-    kwargs.setdefault("admission", AdmitAll())
     return TieredZoomInCache(memory_bytes=memory, disk_bytes=disk, **kwargs)
 
 
@@ -44,8 +42,7 @@ class TestTierMechanics:
     def test_memory_hit_round_trip(self):
         cache = make_cache()
         result = make_result(101)
-        verdict = cache.put(result)
-        assert verdict.admitted
+        assert cache.put(result)
         assert cache.tier_of(101) == "memory"
         assert cache.get(101) is result
         assert cache.counters.memory_hits == 1
@@ -99,7 +96,7 @@ class TestTierMechanics:
         cache = make_cache(memory=1, disk_store=store)
         cache.put(make_result(101, cost=500.0))
         (meta,) = store.load_metadata()
-        assert meta.cost == 3  # plan_cost, not the price admission saw
+        assert meta.cost == 3  # plan_cost, not the cost model's estimate
 
     def test_disk_tier_evicts_past_its_budget(self):
         one = make_result(101).size_estimate()
@@ -159,55 +156,24 @@ class TestTierMechanics:
         assert payload["tiers"]["disk"]["entries"] == 0
         assert payload["policy"] == "RCO"
 
-
-class TestCostAwareAdmissionIntegration:
-    def admission(self):
-        return CostAwareAdmission(
-            min_recompute_cost=10.0, pin_cost=1000.0, max_entry_fraction=0.5
-        )
-
-    def test_cheap_result_is_not_cached(self):
-        cache = make_cache(admission=self.admission())
-        verdict = cache.put(make_result(101, cost=5.0))
-        assert not verdict.admitted
-        assert cache.tier_of(101) is None
-        assert cache.counters.rejected_cheap == 1
-
-    def test_pinned_entry_survives_pressure(self):
-        one = make_result(101).size_estimate()
-        cache = make_cache(
-            memory=int(one * 2.5), admission=self.admission()
-        )
-        cache.put(make_result(101, cost=5000.0))  # pinned
-        assert cache.pinned_qids() == [101]
-        for qid in range(102, 108):
-            cache.put(make_result(qid, cost=50.0))
-        assert cache.tier_of(101) == "memory"
-        assert cache.counters.pinned_insertions == 1
-
     def test_oversize_for_memory_lands_on_disk(self):
         small = make_result(101).size_estimate()
         big = make_result(102, rows=64, pad=256)
-        cache = make_cache(
-            memory=int(small * 3), admission=self.admission()
-        )
-        assert big.size_estimate() > 0.5 * cache.memory_bytes  # premise
-        verdict = cache.put(big, cost=500.0)
-        assert verdict.admitted and not verdict.pinned
+        cache = make_cache(memory=int(small * 3))
+        assert big.size_estimate() > cache.memory_bytes  # premise
+        assert cache.put(big)
         assert cache.tier_of(102) == "disk"
         got = cache.get(102)
         assert got is not None and got.rows() == big.rows()
 
     def test_disk_hit_keeps_an_oversize_for_memory_entry_on_disk(self):
-        result = make_result(101, cost=500.0)
+        result = make_result(101)
         store = SQLiteResultStore()
         cache = make_cache(
-            memory=int(result.size_estimate() * 1.5),
-            admission=self.admission(),
-            disk_store=store,
+            memory=result.size_estimate() - 1, disk_store=store
         )
         cache.put(result)
-        assert cache.tier_of(101) == "disk"  # premise: over max_entry_fraction
+        assert cache.tier_of(101) == "disk"  # premise: one byte too big
         got = cache.get(101)
         assert got is not None and got.rows() == result.rows()
         assert cache.counters.disk_hits == 1
@@ -217,14 +183,10 @@ class TestCostAwareAdmissionIntegration:
         assert meta.access_count == 1  # the hit was still recorded
 
     def test_oversize_for_both_tiers_rejected(self):
-        cache = make_cache(memory=256, disk=512, admission=self.admission())
-        verdict = cache.put(make_result(101, rows=64, pad=256, cost=500.0))
-        assert not verdict.admitted or cache.tier_of(101) is None
+        cache = make_cache(memory=256, disk=512)
+        assert not cache.put(make_result(101, rows=64, pad=256))
+        assert cache.tier_of(101) is None
         assert cache.counters.rejected_oversize == 1
-
-    def test_default_admission_is_cost_aware(self):
-        cache = TieredZoomInCache()
-        assert isinstance(cache.admission, CostAwareAdmission)
 
 
 class TestWarmRestart:

@@ -147,9 +147,9 @@ class TestSessionTracing:
         zoomin = stats["zoomin"]
         assert zoomin["memory_hits"] == 1
         assert zoomin["insertions"] >= 1
-        assert {"misses", "demotions", "promotions", "rejected_cheap"} <= set(
-            zoomin
-        )
+        assert {
+            "misses", "demotions", "promotions", "rejected_oversize"
+        } <= set(zoomin)
         assert zoomin["tiers"]["disk"]["capacity_bytes"] == 1024 * 1024
         assert stats["traces_retained"] >= 1
         notes.close()
