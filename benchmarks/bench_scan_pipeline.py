@@ -2,9 +2,9 @@
 
 The block-oriented scan loads each block's summary objects and attachment
 maps in bulk (chunked IN-list queries) and serves repeats from the
-catalog's deserialization LRU.  The "before" configuration —
-``scan_block_size=1`` with the catalog cache disabled — reproduces the
-per-row path the scan used previously.
+summary manager's object cache.  The "before" configuration —
+``planner.scan_block_size = 1`` with the caches emptied before every
+query — reproduces the per-row path the scan used previously.
 
 Shape expected: the blocked pipeline issues at least 5x fewer SQLite
 statements on a full-table scan and wins wall-clock on the SPJ workload;
@@ -36,11 +36,9 @@ def _workload(ratio: int, mode: str):
     """A generated workload in ``blocked`` or ``per_row`` configuration."""
     key = (ratio, mode)
     if key not in _WORKLOADS:
-        session = (
-            InsightNotes()
-            if mode == "blocked"
-            else InsightNotes(scan_block_size=1, object_cache_size=0)
-        )
+        session = InsightNotes()
+        if mode == "per_row":
+            session.planner.scan_block_size = 1
         _WORKLOADS[key] = build_workload(
             WorkloadConfig(
                 num_birds=16,
@@ -54,12 +52,20 @@ def _workload(ratio: int, mode: str):
     return _WORKLOADS[key]
 
 
+def _query(workload, sql: str):
+    """Run ``sql``; the per-row configuration reads storage every time."""
+    session = workload.session
+    if session.planner.scan_block_size == 1:
+        session.manager.drop_caches()
+    return session.query(sql)
+
+
 @pytest.mark.parametrize("ratio", BENCH_RATIOS)
 @pytest.mark.parametrize("mode", ("blocked", "per_row"))
 def test_scan(benchmark, ratio, mode):
     workload = _workload(ratio, mode)
     benchmark.extra_info.update(ratio=ratio, mode=mode)
-    benchmark(lambda: workload.session.query(SCAN_SQL))
+    benchmark(lambda: _query(workload, SCAN_SQL))
 
 
 @pytest.mark.parametrize("ratio", BENCH_RATIOS)
@@ -67,7 +73,7 @@ def test_scan(benchmark, ratio, mode):
 def test_spj(benchmark, ratio, mode):
     workload = _workload(ratio, mode)
     benchmark.extra_info.update(ratio=ratio, mode=mode)
-    benchmark(lambda: workload.session.query(SPJ_SQL))
+    benchmark(lambda: _query(workload, SPJ_SQL))
 
 
 def test_report_series(benchmark):
@@ -76,18 +82,13 @@ def test_report_series(benchmark):
     for ratio in BENCH_RATIOS:
         blocked = _workload(ratio, "blocked")
         per_row = _workload(ratio, "per_row")
-        for workload in (blocked, per_row):
-            workload.session.manager.drop_caches()
-        blocked.session.catalog.configure_object_cache(0)
-        try:
-            with blocked.session.db.track_queries() as fast:
-                blocked.session.query(SCAN_SQL)
-            with per_row.session.db.track_queries() as slow:
-                per_row.session.query(SCAN_SQL)
-        finally:
-            blocked.session.catalog.configure_object_cache(8192)
+        blocked.session.manager.drop_caches()
+        with blocked.session.db.track_queries() as fast:
+            blocked.session.query(SCAN_SQL)
+        with per_row.session.db.track_queries() as slow:
+            _query(per_row, SCAN_SQL)
         blocked_spj = time_call(lambda: blocked.session.query(SPJ_SQL))
-        per_row_spj = time_call(lambda: per_row.session.query(SPJ_SQL))
+        per_row_spj = time_call(lambda: _query(per_row, SPJ_SQL))
         rows.append(
             (
                 f"{ratio}x",

@@ -186,12 +186,7 @@ def _execute_delete(session: "InsightNotes", statement: DeleteFrom) -> int:
         # Only summary-function predicates (SUMMARY_COUNT/GROUP_COUNT)
         # need hydrated rows; plain value predicates run on the raw scan.
         source = HydrateOperator(
-            source,
-            session.annotations,
-            session.catalog,
-            statement.table,
-            statement.table,
-            manager=session.manager,
+            source, session.manager, statement.table, statement.table
         )
     doomed: list[int] = []
     for row in source:

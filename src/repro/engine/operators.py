@@ -46,8 +46,6 @@ from repro.summaries.base import SummaryInstance, SummaryObject
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.maintenance.incremental import SummaryManager
-    from repro.storage.annotations import AnnotationStore
-    from repro.storage.catalog import SummaryCatalog
     from repro.storage.database import Database
 
 
@@ -415,11 +413,13 @@ class ScanOperator(Operator):
 class HydrateOperator(Operator):
     """Attach summary objects and attachment maps to surviving rows.
 
-    Buffers its input into blocks of ``block_size`` and bulk-fetches each
-    block's summary objects and attachment maps (one storage round-trip
-    per block per kind).  Because the planner places this operator above
-    the residual selection (and a pushed LIMIT), only rows that survive
-    filtering pay the deserialization tax.
+    Buffers its input into blocks of ``block_size`` and fetches each
+    block's summary values and attachment maps through the
+    :class:`~repro.maintenance.incremental.SummaryManager`'s caches (at
+    most one storage round-trip per block per kind).  Because the
+    planner places this operator above the residual selection (and a
+    pushed LIMIT), only rows that survive filtering pay the
+    deserialization tax.
 
     The operator is *projection-aware*: when it sits above a Project, its
     schema is the kept column subset, so attachments are narrowed to the
@@ -428,8 +428,8 @@ class HydrateOperator(Operator):
     the scan and projecting afterwards, at a fraction of the fetches.
     Narrowing qualifies and filters each *distinct* stored column set
     once per block, not once per annotation per row.  The removal is
-    deferred: each row carries its objects' cached ``for_query()`` values
-    and the dropped ids as its pending drop set
+    deferred: each row carries the manager's ``for_query()`` values and
+    the dropped ids as its pending drop set
     (:meth:`~repro.model.tuple.AnnotatedTuple.drop`), and an instance is
     projected only when something reads it — a summary predicate or sort
     key reads only the instances it names, and the rows a Limit keeps are
@@ -439,11 +439,9 @@ class HydrateOperator(Operator):
     def __init__(
         self,
         child: Operator,
-        annotations: "AnnotationStore",
-        catalog: "SummaryCatalog",
+        manager: "SummaryManager",
         table: str,
         alias: str,
-        manager: "SummaryManager | None" = None,
         instances: tuple[str, ...] | None = None,
         tracer: Tracer | None = None,
         block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
@@ -453,8 +451,6 @@ class HydrateOperator(Operator):
             raise ValueError(f"block_size must be >= 1, got {block_size}")
         super().__init__(child.schema, tracer)
         self._child = child
-        self._annotations = annotations
-        self._catalog = catalog
         self._manager = manager
         self.table = table
         self.alias = alias
@@ -463,7 +459,7 @@ class HydrateOperator(Operator):
         self._stats = stats
 
     def rows(self) -> Iterator[AnnotatedTuple]:
-        instances = self._catalog.instances_for_table(self.table)
+        instances = self._manager.instances_for_table(self.table)
         if self.instances is not None:
             wanted = set(self.instances)
             instances = [i for i in instances if i.name in wanted]
@@ -494,21 +490,11 @@ class HydrateOperator(Operator):
         block: list[AnnotatedTuple],
         instances: Sequence["SummaryInstance"],
     ) -> Iterator[AnnotatedTuple]:
-        """Bulk-fetch one block's summaries and attachments, then emit."""
+        """Fetch one block's summary values and attachments, then emit."""
         row_ids = [self._row_id(row) for row in block]
         names = [instance.name for instance in instances]
-        if self._manager is not None:
-            objects = self._manager.objects_for_rows(names, self.table, row_ids)
-            attachment_maps = self._manager.attachments_for_rows(
-                self.table, row_ids
-            )
-        else:
-            objects = self._catalog.load_objects_for_table(
-                names, self.table, row_ids
-            )
-            attachment_maps = self._annotations.attachments_for_rows(
-                self.table, row_ids
-            )
+        values = self._manager.objects_for_rows(names, self.table, row_ids)
+        attachment_maps = self._manager.attachments_for_rows(self.table, row_ids)
         stats = self._stats
         if stats is not None:
             stats.count_hydrated_block(len(block))
@@ -529,10 +515,10 @@ class HydrateOperator(Operator):
             )
             summaries: dict[str, SummaryObject] = {}
             for instance in instances:
-                obj = objects.get((instance.name, row_id))
-                if obj is None:
-                    obj = instance.new_object()
-                summaries[instance.name] = obj.for_query()
+                value = values.get((instance.name, row_id))
+                if value is None:
+                    value = instance.new_object().for_query()
+                summaries[instance.name] = value
             row.summaries = summaries
             row.drop(dropped)
             row.attachments = attachments

@@ -74,8 +74,7 @@ class Planner:
         database: "Database",
         annotations: "AnnotationStore",
         catalog: "SummaryCatalog",
-        manager: "SummaryManager | None" = None,
-        scan_block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
+        manager: "SummaryManager",
         statistics: CatalogStatistics | None = None,
     ) -> None:
         self._db = database
@@ -87,11 +86,9 @@ class Planner:
         self.push_selections = True
         #: Feeds :attr:`cost_model`, which prices EXPLAIN and traces only.
         self._statistics = statistics
-        if scan_block_size < 1:
-            raise ValueError(
-                f"scan_block_size must be >= 1, got {scan_block_size}"
-            )
-        self.scan_block_size = scan_block_size
+        #: Base rows each Hydrate fetches per storage round-trip; ``1``
+        #: is the per-row baseline the scan-pipeline tests compare to.
+        self.scan_block_size = DEFAULT_SCAN_BLOCK_SIZE
 
     # -- schema inference ---------------------------------------------
 
@@ -652,11 +649,9 @@ class Planner:
         if isinstance(node, lp.Hydrate):
             return HydrateOperator(
                 self.physical(node.child, tracer, stats),
-                self._annotations,
-                self._catalog,
+                self._manager,
                 node.table,
                 node.alias,
-                manager=self._manager,
                 instances=node.instances,
                 tracer=tracer,
                 block_size=self.scan_block_size,

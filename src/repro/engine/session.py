@@ -33,11 +33,7 @@ from typing import Any
 from repro.engine.cost import CatalogStatistics
 from repro.engine.executor import execute_plan
 from repro.engine.explain import Explanation, build_explanation
-from repro.engine.operators import (
-    DEFAULT_SCAN_BLOCK_SIZE,
-    ExecutionStats,
-    Tracer,
-)
+from repro.engine.operators import ExecutionStats, Tracer
 from repro.engine.plan import PlanNode
 from repro.engine.planner import Planner, plan_uses_summaries
 from repro.engine.results import QueryResult, ResultRegistry
@@ -47,7 +43,7 @@ from repro.maintenance.incremental import SummaryManager
 from repro.model.annotation import Annotation, AnnotationKind
 from repro.model.cell import CellRef
 from repro.storage.annotations import AnnotationDraft, AnnotationStore
-from repro.storage.catalog import DEFAULT_OBJECT_CACHE_SIZE, SummaryCatalog
+from repro.storage.catalog import SummaryCatalog
 from repro.storage.database import Database
 from repro.storage.planner_stats import PlannerStatsStore
 from repro.summaries.base import SummaryInstance
@@ -89,13 +85,6 @@ class InsightNotes:
     trace_history:
         How many recent per-query traces (:class:`~repro.zoomin.tracing.
         QueryTrace`) the session retains for :meth:`trace`.
-    scan_block_size:
-        How many base rows each table scan prefetches per storage
-        round-trip (summaries and attachments are loaded in bulk per
-        block).  ``1`` degenerates to per-row loading — the benchmark
-        harness uses that as its "before" configuration.
-    object_cache_size:
-        Bound of the catalog's deserialization LRU (``0`` disables it).
     shards:
         Number of storage shards.  ``1`` (the default) is the original
         single-file layout, byte-identical to previous releases.
@@ -110,6 +99,9 @@ class InsightNotes:
     summary-free GROUP BY/DISTINCT run inside SQLite, and summaries
     hydrated lazily above the value-only residual (DESIGN.md §8, §13).
     Catalog statistics only price plans, for :meth:`explain` and traces.
+    Summary objects have one cache, the maintenance manager's: writes
+    fold into it and queries read through it, taking ``for_query()``
+    values under its lock (DESIGN.md §6).
     The Theorems 1-2 project-before-merge normalization is always on;
     the plan-equivalence ablation switches it off through the
     ``planner.normalize_plans`` attribute.  Statistics seed themselves
@@ -127,15 +119,11 @@ class InsightNotes:
         cache_store: str | None = None,
         cache_disk_bytes: int = 0,
         trace_history: int = 128,
-        scan_block_size: int = DEFAULT_SCAN_BLOCK_SIZE,
-        object_cache_size: int = DEFAULT_OBJECT_CACHE_SIZE,
         shards: int = 1,
     ) -> None:
         self.db = Database(path, shards=shards)
         self.annotations = AnnotationStore(self.db)
-        self.catalog = SummaryCatalog(
-            self.db, registry=registry, object_cache_size=object_cache_size
-        )
+        self.catalog = SummaryCatalog(self.db, registry=registry)
         self.manager = SummaryManager(self.db, self.annotations, self.catalog)
         self.stats_store = PlannerStatsStore(self.db)
         self.stats_registry = CatalogStatistics(
@@ -145,8 +133,7 @@ class InsightNotes:
             self.db,
             self.annotations,
             self.catalog,
-            manager=self.manager,
-            scan_block_size=scan_block_size,
+            self.manager,
             statistics=self.stats_registry,
         )
         self.results = ResultRegistry()
@@ -467,11 +454,11 @@ class InsightNotes:
             if (instance_name is None or instance == instance_name)
             and (table is None or linked_table == table)
         ]
-        self.manager.drop_caches()
-        for instance, linked_table in pairs:
-            rebuild_table(
-                self.db, self.annotations, self.catalog, instance, linked_table
-            )
+        with self.manager.bypass():
+            for instance, linked_table in pairs:
+                rebuild_table(
+                    self.db, self.annotations, self.catalog, instance, linked_table
+                )
         return len(pairs)
 
     def retrain_classifier(
@@ -497,8 +484,8 @@ class InsightNotes:
 
     def unlink(self, instance_name: str, table: str) -> None:
         """Unlink an instance from a table, dropping its state there."""
-        self.manager.drop_caches()
-        self.catalog.unlink(instance_name, table)
+        with self.manager.bypass():
+            self.catalog.unlink(instance_name, table)
 
     # -- queries ----------------------------------------------------------
 
@@ -701,7 +688,7 @@ class InsightNotes:
             "summary_instances": len(self.catalog.instance_names()),
             "summary_links": len(self.catalog.links()),
             "summary_state_bytes": self.catalog.summary_bytes(),
-            "object_cache": self.catalog.object_cache_info(),
+            "object_cache": self.manager.cache_info(),
             "maintenance": self.manager.stats.as_dict(),
             "summarize_once": {
                 "hits": contribution_stats.hits,

@@ -23,9 +23,13 @@ types' ``fold_many`` hooks, and the write-back is a single
 Deletion reverses the effect: ids are removed from the objects, and cluster
 groups re-elect representatives from their heavy state.
 
-The manager keeps a bounded in-memory object cache so a burst of
-annotations on the same hot rows does not round-trip JSON through SQLite
-for every insert.
+The manager's bounded object cache is the only cache of summary
+objects: maintenance folds into the cached objects, and queries read
+through it (:meth:`objects_for_rows`), so a burst of annotations on hot
+rows and repeated queries over the same rows both skip the SQLite
+round-trip and the JSON rebuild.  The cache also remembers rows that
+were never summarized.  The catalog below it only loads, saves and
+deletes.
 
 The manager is shared across concurrent queries.  One re-entrant lock
 guards every piece of mutable state (object cache, dirty set,
@@ -34,14 +38,19 @@ end — they are serialized anyway by the storage layer's single-writer
 lock — while the read paths (:meth:`objects_for_rows`,
 :meth:`attachments_for_rows`) probe the caches under the lock, run SQL
 with the lock *released*, and re-acquire it to fill, so concurrent
-queries never serialize on each other's fetches.  A fill skips rows a
-writer invalidated while the fetch was in flight.
+queries never serialize on each other's fetches.  A fill never replaces
+a cached entry and skips keys a write stamped while the fetch was in
+flight: every save and delete the manager makes stamps its keys, and a
+write that goes straight to the catalog runs inside :meth:`bypass`,
+which refuses every older fill.  A read returns ``for_query()`` values
+taken under the lock, so no fold can reach a value a query holds.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.concurrency import InvalidationStamps, make_rlock
@@ -72,8 +81,6 @@ class MaintenanceStats:
     annotations_processed: int = 0
     objects_updated: int = 0
     objects_created: int = 0
-    object_cache_hits: int = 0
-    object_cache_misses: int = 0
     batches: int = 0
     batch_rows: int = 0
     folds_saved: int = 0
@@ -89,8 +96,6 @@ class MaintenanceStats:
             "annotations_processed": self.annotations_processed,
             "objects_updated": self.objects_updated,
             "objects_created": self.objects_created,
-            "object_cache_hits": self.object_cache_hits,
-            "object_cache_misses": self.object_cache_misses,
             "batches": self.batches,
             "batch_rows": self.batch_rows,
             "rows_per_batch": round(self.rows_per_batch, 3),
@@ -99,7 +104,8 @@ class MaintenanceStats:
 
 
 class SummaryManager:
-    """Keeps persisted summary objects current under annotation traffic.
+    """Keeps persisted summary objects current under annotation traffic,
+    and serves them to queries through the one summary-object cache.
 
     Parameters
     ----------
@@ -109,7 +115,8 @@ class SummaryManager:
         Persist each updated object immediately (default).  Bulk loaders
         may disable this and call :meth:`flush` once at the end.
     object_cache_size:
-        Maximum number of summary objects kept hot in memory.
+        Bound of the object cache, which writes fold into and reads fill:
+        summary objects plus "never summarized" markers.
     attachments_cache_size:
         Maximum number of per-row attachment maps kept hot — a separate
         bound, because attachment maps are far smaller than summary
@@ -125,7 +132,7 @@ class SummaryManager:
         annotations: AnnotationStore,
         catalog: SummaryCatalog,
         write_through: bool = True,
-        object_cache_size: int = 4096,
+        object_cache_size: int = 8192,
         attachments_cache_size: int = DEFAULT_ATTACHMENTS_CACHE_SIZE,
     ) -> None:
         if object_cache_size < 1:
@@ -149,9 +156,16 @@ class SummaryManager:
         self._lock = make_rlock("maintenance.summary_manager", guards_io=True)
         self._object_cache_size = object_cache_size
         self._attachments_cache_size = attachments_cache_size
-        # (instance, table, row_id) -> object; OrderedDict gives LRU order.
-        self._objects: OrderedDict[tuple[str, str, int], SummaryObject] = OrderedDict()
+        # (instance, table, row_id) -> object, or None for a row never
+        # summarized; OrderedDict gives LRU order.
+        self._objects: OrderedDict[
+            tuple[str, str, int], SummaryObject | None
+        ] = OrderedDict()
         self._dirty: set[tuple[str, str, int]] = set()
+        # Keep a read's fill from caching an object a write made stale.
+        self._object_stamps = InvalidationStamps(object_cache_size)
+        self._hits = 0
+        self._misses = 0
         # (table, row_id) -> annotation id -> columns; the scan hot path.
         self._attachments: OrderedDict[
             tuple[str, int], dict[int, frozenset[str]]
@@ -161,38 +175,87 @@ class SummaryManager:
 
     # -- object cache ---------------------------------------------------
 
-    def _get_object(
-        self, instance: SummaryInstance, table: str, row_id: int
-    ) -> SummaryObject:
-        key = (instance.name, table, row_id)
+    def cache_info(self) -> dict[str, int]:
+        """Hit/miss/size counters of the object cache, reads and writes."""
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "entries": len(self._objects),
+                "capacity": self._object_cache_size,
+            }
+
+    def _probe(
+        self, key: tuple[str, str, int]
+    ) -> tuple[bool, SummaryObject | None]:
+        """``(cached, object)`` for one key; call under the lock."""
         if key in self._objects:
             self._objects.move_to_end(key)
-            self.stats.object_cache_hits += 1
-            return self._objects[key]
-        self.stats.object_cache_misses += 1
-        obj = self._catalog.load_object(instance.name, table, row_id)
+            self._hits += 1
+            return True, self._objects[key]
+        self._misses += 1
+        return False, None
+
+    def _writable_object(
+        self,
+        instance: SummaryInstance,
+        table: str,
+        row_id: int,
+        obj: SummaryObject | None,
+    ) -> SummaryObject:
+        """Cache ``obj`` for maintenance, creating it for a new row."""
         if obj is None:
             obj = instance.new_object()
             self.stats.objects_created += 1
-        self._objects[key] = obj
+        self._objects[(instance.name, table, row_id)] = obj
+        return obj
+
+    def _get_object(
+        self, instance: SummaryInstance, table: str, row_id: int
+    ) -> SummaryObject:
+        cached, obj = self._probe((instance.name, table, row_id))
+        if not cached:
+            obj = self._catalog.load_object(instance.name, table, row_id)
+        obj = self._writable_object(instance, table, row_id, obj)
         self._evict_if_needed()
         return obj
 
     def _evict_if_needed(self) -> None:
+        evicted = []
         while len(self._objects) > self._object_cache_size:
             key, obj = self._objects.popitem(last=False)
-            if key in self._dirty:
-                self._catalog.save_object(key[0], key[1], key[2], obj)
-                self.stats.objects_updated += 1
-                self._dirty.discard(key)
+            if obj is not None and key in self._dirty:
+                evicted.append((key, obj))
+        self._save(evicted)
 
-    def _mark_updated(self, key: tuple[str, str, int]) -> None:
-        # ``objects_updated`` counts persisted writes, not folds — in
-        # deferred mode the counter moves at flush/eviction time instead.
-        obj = self._objects[key]
+    def _save(
+        self, entries: Sequence[tuple[tuple[str, str, int], SummaryObject]]
+    ) -> int:
+        """Persist ``entries`` in one transaction and stamp their keys.
+
+        ``objects_updated`` counts persisted writes, not folds — in
+        deferred mode the counter moves at flush/eviction time instead.
+        """
+        written = self._catalog.save_objects(
+            [(*key, obj) for key, obj in entries]
+        )
+        for key, _obj in entries:
+            self._dirty.discard(key)
+            self._object_stamps.invalidate(key)
+        self.stats.objects_updated += written
+        return written
+
+    def _forget(self, key: tuple[str, str, int]) -> None:
+        """Drop ``key`` ahead of a direct catalog write to its row."""
+        self._objects.pop(key, None)
+        self._dirty.discard(key)
+        self._object_stamps.invalidate(key)
+
+    def _mark_updated(
+        self, key: tuple[str, str, int], obj: SummaryObject
+    ) -> None:
         if self.write_through:
-            self._catalog.save_object(key[0], key[1], key[2], obj)
-            self.stats.objects_updated += 1
+            self._save([(key, obj)])
         else:
             self._dirty.add(key)
 
@@ -204,13 +267,13 @@ class SummaryManager:
         accumulated.
         """
         with self._lock:
-            entries = [
-                (key[0], key[1], key[2], obj)
-                for key in sorted(self._dirty)
-                if (obj := self._objects.get(key)) is not None
-            ]
-            written = self._catalog.save_objects(entries)
-            self.stats.objects_updated += written
+            written = self._save(
+                [
+                    (key, obj)
+                    for key in sorted(self._dirty)
+                    if (obj := self._objects.get(key)) is not None
+                ]
+            )
             self._dirty.clear()
             return written
 
@@ -220,6 +283,24 @@ class SummaryManager:
             self.flush()
             self._objects.clear()
             self._attachments.clear()
+
+    @contextmanager
+    def bypass(self) -> Iterator[None]:
+        """Hold maintenance still around writes made straight to the catalog.
+
+        For :func:`~repro.maintenance.rebuild.rebuild_table`,
+        :meth:`~repro.storage.catalog.SummaryCatalog.unlink` and
+        :meth:`~repro.storage.catalog.SummaryCatalog.drop_instance`:
+        deferred updates are flushed and the caches emptied first, the
+        body runs under the lock, and afterwards every read that fetched
+        before it is refused its fill.
+        """
+        with self._lock:
+            self.drop_caches()
+            try:
+                yield
+            finally:
+                self._object_stamps.invalidate_all()
 
     # -- attachment cache ---------------------------------------------
 
@@ -305,7 +386,7 @@ class SummaryManager:
                         continue  # idempotent replay
                     contribution = self.contributions.analyze(instance, annotation)
                     instance.add_to(obj, annotation, contribution)
-                    self._mark_updated((instance.name, table, row_id))
+                    self._mark_updated((instance.name, table, row_id), obj)
                     updated += 1
             return updated
 
@@ -365,6 +446,8 @@ class SummaryManager:
                     for row_id in row_map
                     if any((name, table, row_id) not in self._objects for name in names)
                 )
+                # The write path fetches under the lock: no write can
+                # land between its fetch and its fill.
                 loaded = (
                     self._catalog.load_objects_for_table(names, table, missing_rows)
                     if missing_rows
@@ -388,17 +471,10 @@ class SummaryManager:
                     annotations = row_map[row_id]
                     for instance in instances:
                         key = (instance.name, table, row_id)
-                        obj = self._objects.get(key)
-                        if obj is not None:
-                            self._objects.move_to_end(key)
-                            self.stats.object_cache_hits += 1
-                        else:
-                            self.stats.object_cache_misses += 1
+                        cached, obj = self._probe(key)
+                        if not cached:
                             obj = loaded.get((instance.name, row_id))
-                            if obj is None:
-                                obj = instance.new_object()
-                                self.stats.objects_created += 1
-                            self._objects[key] = obj
+                        obj = self._writable_object(instance, table, row_id, obj)
                         folded = obj.fold_many(
                             instance,
                             [
@@ -441,7 +517,7 @@ class SummaryManager:
                         # The centroid moved; re-elect representatives from
                         # the heavy state kept at maintenance time.
                         obj.rerank_groups()
-                    self._mark_updated((instance.name, table, row_id))
+                    self._mark_updated((instance.name, table, row_id), obj)
                     updated += 1
             return updated
 
@@ -456,9 +532,7 @@ class SummaryManager:
         with self._lock:
             self._invalidate_attachments(table, row_id)
             for instance in self._catalog.instances_for_table(table):
-                key = (instance.name, table, row_id)
-                self._objects.pop(key, None)
-                self._dirty.discard(key)
+                self._forget((instance.name, table, row_id))
                 self._catalog.delete_object(instance.name, table, row_id)
                 removed += 1
         return removed
@@ -478,9 +552,7 @@ class SummaryManager:
         with self._lock:
             for row_id, _values in self._db.rows(table):
                 pairs = self._annotations.annotations_for_row(table, row_id)
-                key = (instance.name, table, row_id)
-                self._objects.pop(key, None)
-                self._dirty.discard(key)
+                self._forget((instance.name, table, row_id))
                 if not pairs:
                     self._catalog.delete_object(instance.name, table, row_id)
                     continue
@@ -494,15 +566,14 @@ class SummaryManager:
 
     # -- reads --------------------------------------------------------
 
+    def instances_for_table(self, table: str) -> list[SummaryInstance]:
+        """The instances linked to ``table`` (the catalog's, name-sorted)."""
+        return self._catalog.instances_for_table(table)
+
     def current_object(
         self, instance_name: str, table: str, row_id: int
     ) -> SummaryObject | None:
-        """The up-to-date summary object for one row, cache-aware.
-
-        Routed through :meth:`objects_for_rows` so the single-row path
-        and the scan block path share one implementation (and one set of
-        cache semantics).
-        """
+        """One row's summary value; see :meth:`objects_for_rows`."""
         return self.objects_for_rows((instance_name,), table, (row_id,)).get(
             (instance_name, row_id)
         )
@@ -513,35 +584,49 @@ class SummaryManager:
         table: str,
         row_ids: Iterable[int],
     ) -> dict[tuple[str, int], SummaryObject]:
-        """Up-to-date summary objects for a block of rows, cache-aware.
+        """Summary values for a block of rows, read through the object cache.
 
-        The manager's write cache wins (it may hold not-yet-flushed
-        objects); everything else is one bulk catalog read.  Pairs with
-        no summary state are simply absent from the result.  Returned
-        objects are live maintenance state — queries take their
-        ``for_query()`` values, which never change, and anything that
-        mutates must take a ``copy()``.
+        Cached pairs are served from memory; the misses are fetched in
+        one bulk catalog read with the lock released and cached on the
+        way out, "never summarized" included.  A fill never replaces an
+        entry a writer cached meanwhile (it is newer than the fetch) and
+        skips keys a write stamped since the probe — such a pair is
+        returned as fetched, which was current when read.  Pairs with no
+        summary state are absent from the result.
+
+        The result holds ``for_query()`` values taken under the lock:
+        a fold that starts later detaches the object from its value
+        first, so a value never changes once returned.
         """
         names = list(instance_names)
-        ids = list(row_ids)
         result: dict[tuple[str, int], SummaryObject] = {}
-        missing_ids: set[int] = set()
+        missing: list[tuple[str, int]] = []
         with self._lock:
-            for row_id in ids:
+            snapshot = self._object_stamps.snapshot()
+            for row_id in row_ids:
                 for name in names:
-                    key = (name, table, row_id)
-                    if key in self._objects:
-                        self._objects.move_to_end(key)
-                        self.stats.object_cache_hits += 1
-                        result[(name, row_id)] = self._objects[key]
-                    else:
-                        missing_ids.add(row_id)
-        if missing_ids:
-            loaded = self._catalog.load_objects_for_table(
-                names, table, sorted(missing_ids)
-            )
-            for (name, row_id), obj in loaded.items():
-                # Don't pollute the write cache with read-path objects;
-                # the catalog keeps its own deserialization LRU.
-                result.setdefault((name, row_id), obj)
+                    cached, obj = self._probe((name, table, row_id))
+                    if not cached:
+                        missing.append((name, row_id))
+                    elif obj is not None:
+                        result[(name, row_id)] = obj.for_query()
+        if not missing:
+            return result
+        loaded = self._catalog.load_objects_for_table(
+            sorted({name for name, _row_id in missing}),
+            table,
+            sorted({row_id for _name, row_id in missing}),
+        )
+        with self._lock:
+            for name, row_id in missing:
+                key = (name, table, row_id)
+                if key in self._objects:
+                    obj = self._objects[key]
+                else:
+                    obj = loaded.get((name, row_id))
+                    if self._object_stamps.fillable(key, snapshot):
+                        self._objects[key] = obj
+                if obj is not None:
+                    result[(name, row_id)] = obj.for_query()
+            self._evict_if_needed()
         return result

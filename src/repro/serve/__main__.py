@@ -65,14 +65,15 @@ async def run(args: argparse.Namespace) -> int:
         AnnotationServer(config=config, path=args.path, shards=args.shards)
     )
     host, port = await server.start(args.host, args.port)
+    loop = asyncio.get_running_loop()
+    stopping = asyncio.Event()
+    # Handlers first: a supervisor may signal as soon as it reads the banner.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(signum, stopping.set)
     if not args.quiet:
         print(f"annotation server listening on {host}:{port} "
               f"(db={args.path!r}, readers={args.readers}, "
-              f"writers={args.writers}, shards={args.shards})")
-    loop = asyncio.get_running_loop()
-    stopping = asyncio.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        loop.add_signal_handler(signum, stopping.set)
+              f"writers={args.writers}, shards={args.shards})", flush=True)
     serve_task = asyncio.create_task(server.serve_forever())
     stop_task = asyncio.create_task(stopping.wait())
     try:
@@ -88,7 +89,7 @@ async def run(args: argparse.Namespace) -> int:
             await stop_task
         await server.stop()
         if not args.quiet:
-            print("annotation server drained and stopped")
+            print("annotation server drained and stopped", flush=True)
     return 0
 
 

@@ -11,21 +11,17 @@ Persists levels 2 and 3 of the summarization hierarchy:
   stored as JSON and rebuilt through the type registry.
 
 Live instances are cached after first resolution, so the trained model is
-deserialized once per session.  Summary state reads go through a bounded
-LRU deserialization cache keyed by ``(instance, table, row_id)`` — repeated
-queries over the same rows skip both the SQLite roundtrip and the
-``json.loads`` + ``object_from_json`` rebuild.  The cache also remembers
-*absence* (rows that were never summarized), which full-table scans hit
-constantly.  Every write path (:meth:`save_object`, :meth:`delete_object`,
-:meth:`unlink`, :meth:`drop_instance`) invalidates the affected entries.
+deserialized once per session.  Summary state is plain persistence: the
+catalog loads, saves and deletes it and caches none of it.  The one cache
+of summary objects is
+:class:`~repro.maintenance.incremental.SummaryManager`'s, which reads
+through this catalog; a write made here directly (:meth:`unlink`,
+:meth:`drop_instance`, the rebuild helpers) runs inside the manager's
+:meth:`~repro.maintenance.incremental.SummaryManager.bypass` when a
+manager serves the same catalog.
 
-The catalog is shared across concurrent queries: the deserialization LRU
-and the live-instance map are guarded by fine-grained locks, and the lock
-is never held across SQL — cache probe under the lock, fetch on a pooled
-read connection outside it, fill under the lock again.  Two threads
-missing the same key may both fetch (a benign double-read); the second
-fill simply overwrites the first with an equal object.  A fill skips
-keys a write invalidated while the fetch was in flight.
+The catalog is shared across concurrent queries: the live-instance map is
+guarded by a lock that is never held across SQL.
 
 Under a sharded backend the instance definitions and links stay on the
 meta shard (small, metadata-shaped), while summary state is co-located
@@ -37,10 +33,9 @@ block.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from collections.abc import Callable, Iterator, Sequence
 
-from repro.concurrency import InvalidationStamps, make_lock
+from repro.concurrency import make_lock
 from repro.errors import (
     CatalogError,
     DuplicateInstanceError,
@@ -57,12 +52,6 @@ _INSTANCES_TABLE = f"{SYSTEM_PREFIX}instances"
 _LINKS_TABLE = f"{SYSTEM_PREFIX}links"
 _STATE_TABLE = f"{SYSTEM_PREFIX}summary_state"
 
-#: Default bound of the deserialization cache (objects + absence markers).
-DEFAULT_OBJECT_CACHE_SIZE = 8192
-
-#: Sentinel distinguishing "cached as absent" from "not cached".
-_ABSENT = object()
-
 
 class SummaryCatalog:
     """Persistent catalog of summary instances, links, and state.
@@ -71,35 +60,17 @@ class SummaryCatalog:
     ----------
     database, registry:
         The shared storage stack and the summary type registry.
-    object_cache_size:
-        Bound of the deserialization LRU (``0`` disables caching — the
-        benchmarks use this to emulate the uncached per-row path).
     """
 
     def __init__(
         self,
         database: Database,
         registry: SummaryTypeRegistry | None = None,
-        object_cache_size: int = DEFAULT_OBJECT_CACHE_SIZE,
     ) -> None:
-        if object_cache_size < 0:
-            raise ValueError(
-                f"object_cache_size must be >= 0, got {object_cache_size}"
-            )
         self._db = database
         self.registry = registry or default_registry()
         self._live_instances: dict[str, SummaryInstance] = {}
         self._instances_lock = make_lock("catalog.instances")
-        self._object_cache_size = object_cache_size
-        # (instance, table, row_id) -> SummaryObject | _ABSENT, LRU-ordered.
-        self._object_cache: OrderedDict[tuple[str, str, int], object] = (
-            OrderedDict()
-        )
-        # Guards the LRU, its stamps and counters; never held across SQL.
-        self._cache_lock = make_lock("catalog.cache")
-        self._cache_stamps = InvalidationStamps(max(object_cache_size, 1))
-        self.cache_hits = 0
-        self.cache_misses = 0
         for shard in range(database.shard_count):
             with database.transaction(shard) as connection:
                 if shard == META_SHARD:
@@ -145,50 +116,6 @@ class SummaryCatalog:
                     ON {_STATE_TABLE} (table_name, row_id, instance_name)
                     """
                 )
-
-    # -- deserialization cache ------------------------------------------
-
-    def configure_object_cache(self, size: int) -> None:
-        """Resize (``0``: disable and clear) the deserialization cache."""
-        if size < 0:
-            raise ValueError(f"object_cache_size must be >= 0, got {size}")
-        with self._cache_lock:
-            self._object_cache_size = size
-            if size == 0:
-                self._object_cache.clear()
-            else:
-                while len(self._object_cache) > size:
-                    self._object_cache.popitem(last=False)
-
-    def object_cache_info(self) -> dict[str, int]:
-        """Hit/miss/size counters for monitoring and tests."""
-        with self._cache_lock:
-            return {
-                "hits": self.cache_hits,
-                "misses": self.cache_misses,
-                "entries": len(self._object_cache),
-                "capacity": self._object_cache_size,
-            }
-
-    def _cache_invalidate(self, key: tuple[str, str, int]) -> None:
-        with self._cache_lock:
-            self._object_cache.pop(key, None)
-            self._cache_stamps.invalidate(key)
-
-    def _cache_invalidate_pair(
-        self, instance_name: str, table_name: str | None
-    ) -> None:
-        """Drop all cached entries of an instance (optionally one table)."""
-        with self._cache_lock:
-            stale = [
-                key
-                for key in self._object_cache
-                if key[0] == instance_name
-                and (table_name is None or key[1] == table_name)
-            ]
-            for key in stale:
-                del self._object_cache[key]
-            self._cache_stamps.invalidate_all()
 
     # -- instance definitions -----------------------------------------
 
@@ -259,7 +186,6 @@ class SummaryCatalog:
         )
         with self._instances_lock:
             self._live_instances.pop(instance_name, None)
-        self._cache_invalidate_pair(instance_name, None)
 
     def has_instance(self, instance_name: str) -> bool:
         """True when the instance is defined."""
@@ -356,7 +282,6 @@ class SummaryCatalog:
         self._db.backend.run_write_fanout(
             [purge(shard) for shard in range(self._db.shard_count)]
         )
-        self._cache_invalidate_pair(instance_name, table_name)
 
     def is_linked(self, instance_name: str, table_name: str) -> bool:
         """True when the instance is linked to the table."""
@@ -468,10 +393,6 @@ class SummaryCatalog:
         backend.run_write_fanout(
             [write_shard(shard) for shard in sorted(by_shard)]
         )
-        # Drop rather than insert: the objects are live maintenance state
-        # that keeps mutating; the cache must only hold settled state.
-        for instance_name, table_name, row_id, _obj in entries:
-            self._cache_invalidate((instance_name, table_name, row_id))
         return len(entries)
 
     def load_object(
@@ -479,12 +400,8 @@ class SummaryCatalog:
     ) -> SummaryObject | None:
         """Load one row's summary object, or None when never summarized.
 
-        A one-pair :meth:`load_objects_for_table`, so it shares that
-        method's cache and fill rules.  Callers must not mutate the
-        returned object in place: queries take its
-        :meth:`~repro.summaries.base.SummaryObject.for_query` value (the
-        scan path) and project or merge that, and anything else mutates a
-        :meth:`~repro.summaries.base.SummaryObject.copy`.
+        A one-pair :meth:`load_objects_for_table`.  Each call rebuilds a
+        fresh object from storage.
         """
         return self.load_objects_for_table(
             (instance_name,), table_name, (row_id,)
@@ -499,42 +416,20 @@ class SummaryCatalog:
         """Bulk :meth:`load_object` for a block of rows.
 
         Returns ``(instance_name, row_id) -> object`` with never-summarized
-        pairs simply absent.  Cache hits (including cached absences) are
-        served from the LRU; the remaining pairs are fetched in **one**
-        SQL query per block (chunked only to respect SQLite's
-        bound-variable limit), then cached.  The same mutation rules as
-        :meth:`load_object` apply.
+        pairs simply absent.  One SQL query per home shard of the rows
+        (chunked only to respect SQLite's bound-variable limit).
         """
-        result: dict[tuple[str, int], SummaryObject] = {}
-        missing: set[tuple[str, int]] = set()
-        # One lock window for the whole block's probes — per-pair
-        # locking would acquire the lock instances x rows times.
-        with self._cache_lock:
-            snapshot = self._cache_stamps.snapshot()
-            cache = self._object_cache
-            for instance_name in instance_names:
-                for row_id in row_ids:
-                    cached = cache.get((instance_name, table_name, row_id))
-                    if cached is None:
-                        self.cache_misses += 1
-                        missing.add((instance_name, row_id))
-                        continue
-                    cache.move_to_end((instance_name, table_name, row_id))
-                    self.cache_hits += 1
-                    if cached is not _ABSENT:
-                        result[(instance_name, row_id)] = cached  # type: ignore[assignment]
-        if not missing:
-            return result
-        fetch_instances = sorted({pair[0] for pair in missing})
-        instance_marks = placeholders(len(fetch_instances))
+        if not instance_names:
+            return {}
+        instance_marks = placeholders(len(instance_names))
         # Route each row to its home shard: one query per (shard, chunk).
         backend = self._db.backend
-        fetched: dict[tuple[str, int], object] = {}
         rows_by_shard: dict[int, list[int]] = {}
-        for row_id in sorted({pair[1] for pair in missing}):
+        for row_id in sorted(set(row_ids)):
             rows_by_shard.setdefault(
                 backend.shard_of(table_name, row_id), []
             ).append(row_id)
+        result: dict[tuple[str, int], SummaryObject] = {}
         for shard in sorted(rows_by_shard):
             fetch_rows = rows_by_shard[shard]
             for chunk_start in range(0, len(fetch_rows), 500):
@@ -547,28 +442,13 @@ class SummaryCatalog:
                       AND instance_name IN ({instance_marks})
                       AND row_id IN ({row_marks})
                     """,
-                    (table_name, *fetch_instances, *chunk),
+                    (table_name, *instance_names, *chunk),
                     shard=shard,
                 )
                 for instance_name, row_id, payload in rows:
-                    pair = (instance_name, row_id)
-                    if pair not in missing:
-                        continue  # over-fetched: the pair was already cached
-                    missing.discard(pair)
-                    result[pair] = fetched[pair] = self._deserialize_object(
+                    result[(instance_name, row_id)] = self._deserialize_object(
                         payload, instance_name, table_name, row_id
                     )
-        fetched.update(dict.fromkeys(missing, _ABSENT))  # never summarized
-        # Fill, skipping keys a write invalidated since the probe.
-        with self._cache_lock:
-            if self._object_cache_size:
-                for (instance_name, row_id), value in fetched.items():
-                    key = (instance_name, table_name, row_id)
-                    if self._cache_stamps.fillable(key, snapshot):
-                        cache[key] = value
-                        cache.move_to_end(key)
-                while len(cache) > self._object_cache_size:
-                    cache.popitem(last=False)
         return result
 
     def _deserialize_object(
@@ -596,7 +476,6 @@ class SummaryCatalog:
                 """,
                 (instance_name, table_name, row_id),
             )
-        self._cache_invalidate((instance_name, table_name, row_id))
 
     def iter_objects(
         self, instance_name: str, table_name: str

@@ -97,7 +97,6 @@ class TestFactoryHook:
 #: without updating this table (and the design doc) fails the test.
 DOCUMENTED_INVENTORY = {
     "annotations.id_sequence": ("lock", True),
-    "catalog.cache": ("lock", False),
     "catalog.instances": ("lock", False),
     "database.rowid": ("lock", False),
     "database.schema": ("lock", False),

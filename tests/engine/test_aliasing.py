@@ -1,14 +1,14 @@
 """Aliasing regression tests: shared caches vs. in-place row mutation.
 
-Hydration serves summary objects out of shared stores — the catalog's
-deserialization (object) cache and, for ZOOMIN, the RCO result cache.
+Hydration serves summary objects out of shared stores — the summary
+manager's object cache and, for ZOOMIN, the RCO result cache.
 Downstream operators mutate per-query rows in place (projection narrows
 attachments and calls ``remove_annotations``; computation rewrites
 values).  The copy-on-write ``for_query`` boundary must keep those
 mutations out of every shared object; these tests pin that invariant
-for both places hydration shares objects from: the maintenance layer's
-write cache (objects just folded) and the catalog's deserialization LRU
-(objects read back from storage once the write cache is dropped).
+for both kinds of object the cache holds: objects maintenance just
+folded, and objects a read filled from storage once the cache was
+dropped.
 """
 
 import json
@@ -82,7 +82,7 @@ class TestObjectCacheAliasing:
             before = fingerprint(notes.query(FULL_SQL))
             for sql in MUTATING_SQL:
                 notes.query(sql)
-            # Served from the (now warm) deserialization cache.
+            # Served from the (now warm) object cache.
             assert fingerprint(notes.query(FULL_SQL)) == before
         finally:
             notes.close()

@@ -293,7 +293,7 @@ class TestAggregatePushdown:
 
 class TestHydratePlacement:
     def build(self) -> InsightNotes:
-        notes = InsightNotes(object_cache_size=0)
+        notes = InsightNotes()
         notes.create_table("obs", ["value", "cutoff"])
         ids = notes.insert_many("obs", [(i, 4) for i in range(30)])
         notes.define_classifier(

@@ -119,8 +119,7 @@ class TestProjectOnRead:
         base = ScanOperator(lookup.db, "birds", "birds")
         project = ProjectOperator(base, ["birds.name", "birds.species"])
         hydrate = HydrateOperator(
-            project, lookup.annotations, lookup.catalog, "birds", "birds",
-            manager=lookup.manager,
+            project, lookup.manager, "birds", "birds"
         )
         operator = GroupByOperator(
             hydrate, keys=["birds.species"], aggregates=[Aggregate("count", None)]

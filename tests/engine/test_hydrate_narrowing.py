@@ -40,25 +40,23 @@ class RowsOperator(Operator):
         return "Rows"
 
 
-class FakeCatalog:
-    def __init__(self, objects):
+class FakeManager:
+    """The manager's read surface over fixed objects and attachment maps."""
+
+    def __init__(self, objects, maps):
         self._objects = objects
+        self._maps = maps
 
     def instances_for_table(self, table):
         return [CLASSIFIER, CLUSTER]
 
-    def load_objects_for_table(self, names, table, row_ids):
+    def objects_for_rows(self, names, table, row_ids):
         return {
-            (name, row_id): self._objects[(name, row_id)]
+            (name, row_id): self._objects[(name, row_id)].for_query()
             for name in names
             for row_id in row_ids
             if (name, row_id) in self._objects
         }
-
-
-class FakeAnnotations:
-    def __init__(self, maps):
-        self._maps = maps
 
     def attachments_for_rows(self, table, row_ids):
         return {row_id: self._maps.get(row_id, {}) for row_id in row_ids}
@@ -139,8 +137,7 @@ def test_hydrate_matches_per_annotation_loop(
     ]
     operator = HydrateOperator(
         RowsOperator(schema, rows),
-        FakeAnnotations(attachment_by_row),
-        FakeCatalog(objects),
+        FakeManager(objects, attachment_by_row),
         TABLE,
         ALIAS,
         block_size=block_size,

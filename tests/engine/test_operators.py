@@ -54,8 +54,7 @@ def scan(notes, table, alias=None, tracer=None):
     """A hydrated scan: value-only ScanOperator + HydrateOperator on top."""
     base = ScanOperator(notes.db, table, alias or table, tracer=tracer)
     return HydrateOperator(
-        base, notes.annotations, notes.catalog, table, alias or table,
-        manager=notes.manager, tracer=tracer,
+        base, notes.manager, table, alias or table, tracer=tracer,
     )
 
 

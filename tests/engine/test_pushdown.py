@@ -327,12 +327,11 @@ class TestExecutionStats:
 
 class TestExecutionBudgets:
     def test_selective_query_fetches_one_block_of_summaries(self):
-        # Small blocks + no object cache make round-trips visible: of 30
-        # rows (8 blocks of 4) only the 4 survivors are hydrated, in one
-        # block, with one summary-state fetch.
-        notes = populate_flock(
-            InsightNotes(scan_block_size=4, object_cache_size=0)
-        )
+        # Small blocks + an empty object cache make round-trips visible:
+        # of 30 rows (8 blocks of 4) only the 4 survivors are hydrated, in
+        # one block, with one summary-state fetch.
+        notes = populate_flock(InsightNotes())
+        notes.planner.scan_block_size = 4
         sql = "SELECT name, species, weight FROM birds WHERE weight > 25"
         try:
             notes.manager.drop_caches()
@@ -347,7 +346,7 @@ class TestExecutionBudgets:
             notes.close()
 
     def test_values_only_subquery_skips_hydration(self):
-        notes = populate_flock(InsightNotes(object_cache_size=0))
+        notes = populate_flock(InsightNotes())
         sql = (
             "SELECT name FROM birds WHERE weight IN "
             "(SELECT weight FROM birds WHERE weight > 25) WITH NO SUMMARIES"
@@ -386,8 +385,7 @@ class TestGhostInstances:
             notes.insert("t", (2,))
             scan = ScanOperator(notes.db, "t", "t")
             hydrate = HydrateOperator(
-                scan, notes.annotations, notes.catalog, "t", "t",
-                manager=notes.manager, instances=("Ghost",),
+                scan, notes.manager, "t", "t", instances=("Ghost",),
             )
             rows = list(hydrate)
             assert [row.values for row in rows] == [(1,), (2,)]

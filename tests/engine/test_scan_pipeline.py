@@ -1,8 +1,8 @@
-"""Scan-pipeline tests: block prefetch, deserialization cache, freshness.
+"""Scan-pipeline tests: block prefetch, the object cache, freshness.
 
 The block-oriented scan must be an invisible optimization — identical
-results to the per-row path (``scan_block_size=1`` with the catalog
-cache disabled), drastically fewer SQLite roundtrips, and never a stale
+results to the per-row path (``planner.scan_block_size = 1`` reading
+from storage), drastically fewer SQLite roundtrips, and never a stale
 summary after annotation writes.
 """
 
@@ -65,12 +65,11 @@ def result_fingerprint(result) -> str:
 
 class TestRoundTrips:
     def test_block_scan_uses_5x_fewer_queries_than_per_row(self):
-        # Disable the catalog cache on both sides so the comparison
+        # Empty the object cache on both sides so the comparison
         # isolates the block prefetch itself, not cache warmth.
-        blocked = populate_birds(InsightNotes(object_cache_size=0))
-        per_row = populate_birds(
-            InsightNotes(scan_block_size=1, object_cache_size=0)
-        )
+        blocked = populate_birds(InsightNotes())
+        per_row = populate_birds(InsightNotes())
+        per_row.planner.scan_block_size = 1
         sql = "SELECT name, species, weight FROM birds"
         try:
             for notes in (blocked, per_row):
@@ -92,7 +91,7 @@ class TestRoundTrips:
         notes = populate_birds(InsightNotes())
         sql = "SELECT name, species, weight FROM birds"
         try:
-            notes.query(sql)  # cold: populates the deserialization cache
+            notes.query(sql)  # cold: fills the object cache
             with notes.db.track_queries() as counter:
                 notes.query(sql)
             state_queries = [
@@ -165,7 +164,9 @@ class TestParity:
             return notes
 
         fast = setup(InsightNotes())
-        slow = setup(InsightNotes(scan_block_size=1, object_cache_size=0))
+        slow = setup(InsightNotes())
+        slow.planner.scan_block_size = 1
+        slow.manager.drop_caches()
         yield fast, slow
         fast.close()
         slow.close()

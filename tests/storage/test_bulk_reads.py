@@ -1,7 +1,9 @@
-"""Tests for the bulk read paths and caches added for the block scan."""
+"""Tests for the bulk read paths and the object cache the block scan
+reads through."""
 
 import pytest
 
+from repro.maintenance.incremental import SummaryManager
 from repro.model.cell import CellRef
 from repro.storage.annotations import AnnotationStore
 from repro.storage.catalog import SummaryCatalog
@@ -14,9 +16,15 @@ def stack():
     db = Database()
     db.create_table("birds", ["name", "weight"])
     store = AnnotationStore(db)
-    catalog = SummaryCatalog(db, object_cache_size=4)
+    catalog = SummaryCatalog(db)
     yield db, store, catalog
     db.close()
+
+
+def make_manager(stack) -> SummaryManager:
+    """A manager whose object cache holds four entries."""
+    db, store, catalog = stack
+    return SummaryManager(db, store, catalog, object_cache_size=4)
 
 
 class TestAttachmentsForRows:
@@ -75,67 +83,96 @@ class TestLoadObjectsForTable:
 
     def test_bulk_load_populates_cache(self, stack):
         db, _store, catalog = stack
+        manager = make_manager(stack)
         catalog.define_instance("Classifier", "C1", {"labels": ["a", "b"]})
         self._save(catalog, "C1", 1)
-        catalog.load_objects_for_table(["C1"], "birds", [1, 2])
+        manager.objects_for_rows(["C1"], "birds", [1, 2])
         with db.track_queries() as counter:
-            again = catalog.load_objects_for_table(["C1"], "birds", [1, 2])
+            again = manager.objects_for_rows(["C1"], "birds", [1, 2])
         assert set(again) == {("C1", 1)}
         assert all("summary_state" not in s for s in counter.statements)
 
     def test_negative_caching_covers_absent_rows(self, stack):
         db, _store, catalog = stack
+        manager = make_manager(stack)
         catalog.define_instance("Classifier", "C1", {"labels": ["a", "b"]})
-        catalog.load_object("C1", "birds", 42)  # never summarized
+        manager.current_object("C1", "birds", 42)  # never summarized
         with db.track_queries() as counter:
-            assert catalog.load_object("C1", "birds", 42) is None
+            assert manager.current_object("C1", "birds", 42) is None
         assert counter.count == 0
+        assert manager.cache_info()["hits"] == 1
 
 
 class TestObjectCache:
-    def test_save_invalidates_cached_entry(self, stack):
-        _db, _store, catalog = stack
+    def _annotate(self, stack, manager, row_id, text):
+        _db, store, _catalog = stack
+        cells = [CellRef("birds", row_id, "name")]
+        manager.on_annotation_added(store.add(text, cells), cells)
+
+    def _linked(self, stack):
+        db, _store, catalog = stack
         catalog.define_instance("Classifier", "C1", {"labels": ["a", "b"]})
-        obj = ClassifierSummary("C1", ["a", "b"])
-        obj.add(1, "a")
-        catalog.save_object("C1", "birds", 1, obj)
-        catalog.load_object("C1", "birds", 1)
-        obj.add(2, "b")
-        catalog.save_object("C1", "birds", 1, obj)
-        reloaded = catalog.load_object("C1", "birds", 1)
+        catalog.get_instance("C1").train([("alpha", "a"), ("beta", "b")])
+        catalog.link("C1", "birds")
+        for i in range(8):
+            db.insert("birds", (f"b{i}", float(i)))
+
+    def test_save_invalidates_cached_entry(self, stack):
+        manager = make_manager(stack)
+        self._linked(stack)
+        self._annotate(stack, manager, 1, "alpha one")
+        first = manager.current_object("C1", "birds", 1)
+        self._annotate(stack, manager, 1, "beta two")
+        reloaded = manager.current_object("C1", "birds", 1)
         assert reloaded.annotation_ids() == frozenset({1, 2})
+        assert first.annotation_ids() == frozenset({1})  # a value never changes
 
     def test_delete_invalidates_cached_entry(self, stack):
-        _db, _store, catalog = stack
-        catalog.define_instance("Classifier", "C1", {"labels": ["a", "b"]})
-        obj = ClassifierSummary("C1", ["a", "b"])
-        catalog.save_object("C1", "birds", 1, obj)
-        catalog.load_object("C1", "birds", 1)
-        catalog.delete_object("C1", "birds", 1)
-        assert catalog.load_object("C1", "birds", 1) is None
+        manager = make_manager(stack)
+        self._linked(stack)
+        self._annotate(stack, manager, 1, "alpha one")
+        assert manager.current_object("C1", "birds", 1) is not None
+        manager.on_row_deleted("birds", 1)
+        assert manager.current_object("C1", "birds", 1) is None
 
     def test_lru_bound_respected(self, stack):
         _db, _store, catalog = stack
+        manager = make_manager(stack)
         catalog.define_instance("Classifier", "C1", {"labels": ["a", "b"]})
         for row_id in range(1, 8):
             catalog.save_object(
                 "C1", "birds", row_id, ClassifierSummary("C1", ["a", "b"])
             )
-            catalog.load_object("C1", "birds", row_id)
-        info = catalog.object_cache_info()
+            manager.current_object("C1", "birds", row_id)
+        info = manager.cache_info()
         assert info["entries"] <= 4  # fixture capacity
         assert info["capacity"] == 4
 
-    def test_zero_capacity_disables_caching(self, stack):
+    def test_eviction_saves_a_dirty_entry(self, stack):
+        db, store, catalog = stack
+        manager = SummaryManager(
+            db, store, catalog, write_through=False, object_cache_size=4
+        )
+        self._linked(stack)
+        self._annotate(stack, manager, 1, "alpha one")
+        assert catalog.load_object("C1", "birds", 1) is None  # deferred
+        for row_id in range(2, 8):
+            manager.current_object("C1", "birds", row_id)  # reads evict
+        assert manager.cache_info()["entries"] <= 4
+        stored = catalog.load_object("C1", "birds", 1)
+        assert stored.annotation_ids() == frozenset({1})
+
+    def test_drop_caches_forces_a_storage_read(self, stack):
         db, _store, catalog = stack
-        catalog.configure_object_cache(0)
+        manager = make_manager(stack)
         catalog.define_instance("Classifier", "C1", {"labels": ["a", "b"]})
         catalog.save_object(
             "C1", "birds", 1, ClassifierSummary("C1", ["a", "b"])
         )
-        catalog.load_object("C1", "birds", 1)
+        manager.current_object("C1", "birds", 1)
+        manager.drop_caches()
         with db.track_queries() as counter:
-            catalog.load_object("C1", "birds", 1)
+            manager.current_object("C1", "birds", 1)
         assert any("summary_state" in s for s in counter.statements)
 
 

@@ -1,23 +1,25 @@
-"""A catalog read's cache fill must not hide a write that landed during
-its fetch.
+"""A read's cache fill must not hide a write that landed during its fetch.
 
-``SummaryCatalog`` probes its deserialization LRU under its lock, fetches
-the misses with the lock released, and fills the LRU afterwards.  A
-writer that saves (and so invalidates) a row's object between that fetch
-and that fill must win: the reader may return what it fetched, but the
+``SummaryManager.objects_for_rows`` probes the object cache under the
+manager's lock, fetches the misses from the catalog with the lock
+released, and fills the cache afterwards.  A write between that fetch and
+that fill must win: the reader may return what it fetched, but the
 pre-write object — or the "never summarized" marker, for a row written
 for the first time — must not be cached, or every later query reads the
-old state.  The reader here is paused right after its SQL fetch while an
-annotation lands on the row.
+old state.  The reader here is paused right after its SQL fetch while the
+write lands.  The maintenance write then leaves the cache (as an eviction
+would), so only the write's invalidation stamp stands between the stale
+fetch and the cache; a rebuild writes around the manager altogether.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
-from repro import InsightNotes
+from repro import CellRef, InsightNotes
 from tests.conftest import TRAINING
 
 
@@ -33,21 +35,34 @@ def _session(annotated: bool) -> InsightNotes:
     return notes
 
 
-_READS = {
-    "load_objects_for_table": lambda notes: notes.manager.objects_for_rows(
-        ["BirdClass"], "birds", [1]
-    ),
-    "load_object": lambda notes: notes.catalog.load_object("BirdClass", "birds", 1),
+def _add_annotation(notes: InsightNotes) -> None:
+    notes.add_annotation("shows symptoms of avian pox", table="birds", row_id=1)
+    notes.manager.drop_caches()
+
+
+def _rebuild_summaries(notes: InsightNotes) -> None:
+    # Stored without maintenance, so only the rebuild summarizes it.
+    notes.annotations.add(
+        "shows symptoms of avian pox", [CellRef("birds", 1, "name")]
+    )
+    notes.rebuild_summaries()
+
+
+_WRITES = {
+    "add_annotation": _add_annotation,
+    "rebuild_summaries": _rebuild_summaries,
 }
 
 
+@pytest.mark.parametrize("write", sorted(_WRITES))
 @pytest.mark.parametrize("annotated", [True, False], ids=["object", "absent"])
-@pytest.mark.parametrize("read", sorted(_READS))
-def test_write_during_fetch_shows_in_the_next_query(monkeypatch, read, annotated):
+def test_write_during_fetch_shows_in_the_next_query(monkeypatch, annotated, write):
     notes = _session(annotated)
     fetched = threading.Event()
     release = threading.Event()
-    reader = threading.Thread(target=_READS[read], args=(notes,))
+    reader = threading.Thread(
+        target=notes.manager.objects_for_rows, args=(["BirdClass"], "birds", [1])
+    )
 
     def pausing(fetch):
         def paused(*args, **kwargs):
@@ -64,18 +79,67 @@ def test_write_during_fetch_shows_in_the_next_query(monkeypatch, read, annotated
     try:
         reader.start()
         assert fetched.wait(timeout=10)
-        added = notes.add_annotation(
-            "shows symptoms of avian pox", table="birds", row_id=1
-        )
+        _WRITES[write](notes)
         release.set()
         reader.join(timeout=10)
         assert not reader.is_alive()
-        notes.manager.drop_caches()
         (row,) = notes.query("SELECT name, weight FROM birds").tuples
         stored = notes.annotations.annotation_ids_for_row("birds", 1)
-        assert added.annotation_id in stored  # premise
+        assert len(stored) == (2 if annotated else 1)  # premise
         assert "BirdClass" in row.summaries
         assert row.summaries["BirdClass"].annotation_ids() == frozenset(stored)
     finally:
         release.set()
+        notes.close()
+
+
+def test_concurrent_reads_leave_no_stale_object_cached(tmp_path):
+    """Readers racing a writer and cache drops: once all stop, every
+    cached object matches the annotations stored for its row."""
+    notes = InsightNotes(str(tmp_path / "race.db"))
+    notes.create_table("birds", ["name", "weight"])
+    rows = notes.insert_many("birds", [(f"b{i}", float(i)) for i in range(6)])
+    notes.define_classifier("BirdClass", ["Behavior", "Disease"], TRAINING)
+    notes.link("BirdClass", "birds")
+    done = threading.Event()
+    errors: list[BaseException] = []
+
+    def read() -> None:
+        try:
+            while not done.is_set():
+                notes.manager.objects_for_rows(["BirdClass"], "birds", rows)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    def write() -> None:
+        try:
+            for i in range(60):
+                notes.add_annotation(
+                    f"observed feeding at dawn {i}",
+                    table="birds", row_id=rows[i % len(rows)],
+                )
+                notes.manager.drop_caches()  # as eviction would
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    threads.append(threading.Thread(target=write))
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert all(not thread.is_alive() for thread in threads)
+        assert not errors, errors
+        cached = notes.manager.objects_for_rows(["BirdClass"], "birds", rows)
+        for row_id in rows:
+            stored = notes.annotations.annotation_ids_for_row("birds", row_id)
+            assert cached[("BirdClass", row_id)].annotation_ids() == frozenset(stored)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
         notes.close()
