@@ -43,6 +43,7 @@ SQL_METHODS = frozenset(
         "fetch_one",
         "transaction",
         "read_connection",
+        "commit_shards",
         "save_object",
         "save_objects",
         "load_object",

@@ -52,7 +52,6 @@ IN001_ALLOWLIST = frozenset(
         ("repro/maintenance/incremental.py", "SummaryManager.add_annotations"),
         ("repro/maintenance/incremental.py", "SummaryManager.on_annotation_deleted"),
         ("repro/maintenance/incremental.py", "SummaryManager.on_row_deleted"),
-        ("repro/maintenance/incremental.py", "SummaryManager.summarize_table"),
         ("repro/storage/annotations.py", "AnnotationStore._reserve_ids"),
         ("repro/storage/annotations.py", "AnnotationStore._pin_id"),
         # SQLiteResultStore shares one connection across query threads;

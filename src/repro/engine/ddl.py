@@ -166,8 +166,8 @@ def execute_statement(
         session.create_table(statement.table, statement.columns)
         return f"table {statement.table!r} created"
     if isinstance(statement, InsertInto):
-        for row in statement.rows:
-            session.insert(statement.table, row)
+        # One batch: a bad row leaves the whole statement uncommitted.
+        session.insert_many(statement.table, statement.rows)
         return f"{len(statement.rows)} row(s) inserted into {statement.table!r}"
     assert isinstance(statement, DeleteFrom)
     deleted = _execute_delete(session, statement)

@@ -399,7 +399,7 @@ class InsightNotes:
         self.manager.on_annotation_deleted(annotation_id)
         updated = self.annotations.update(annotation_id, text=text, title=title)
         cells = self.annotations.cells_of(annotation_id)
-        self.manager.on_annotation_added(updated, cells)
+        self.manager.add_annotations([(updated, cells)])
         return updated
 
     # -- summary instances ------------------------------------------------
@@ -478,9 +478,13 @@ class InsightNotes:
         self.rebuild_summaries(instance_name=instance_name)
 
     def link(self, instance_name: str, table: str) -> None:
-        """Link an instance to a table and summarize its existing rows."""
+        """Link an instance to a table and summarize its existing rows.
+
+        Summarizing the existing rows is a rebuild of the new pair
+        (:meth:`rebuild_summaries`).
+        """
         self.catalog.link(instance_name, table)
-        self.manager.summarize_table(instance_name, table)
+        self.rebuild_summaries(instance_name=instance_name, table=table)
 
     def unlink(self, instance_name: str, table: str) -> None:
         """Unlink an instance from a table, dropping its state there."""

@@ -370,7 +370,10 @@ class SummaryManager:
     ) -> int:
         """Fold a newly stored annotation into all affected summaries.
 
-        Returns the number of summary objects updated.
+        The sequential ``add_to`` reference that the batch ingest path
+        (:meth:`add_annotations`) is tested against; the engine itself
+        only ingests through the batch.  Returns the number of summary
+        objects updated.
         """
         with self._lock:
             self.stats.annotations_processed += 1
@@ -536,33 +539,6 @@ class SummaryManager:
                 self._catalog.delete_object(instance.name, table, row_id)
                 removed += 1
         return removed
-
-    # -- bootstrap ---------------------------------------------------
-
-    def summarize_table(self, instance_name: str, table: str) -> int:
-        """Build summaries for every existing row of ``table``.
-
-        Used when an instance is linked to a table that already carries
-        annotations — the FIG4 extensibility scenario.  Existing summary
-        state for the pair is replaced.  Returns the number of rows
-        summarized (rows without annotations get no object).
-        """
-        instance = self._catalog.get_instance(instance_name)
-        summarized = 0
-        with self._lock:
-            for row_id, _values in self._db.rows(table):
-                pairs = self._annotations.annotations_for_row(table, row_id)
-                self._forget((instance.name, table, row_id))
-                if not pairs:
-                    self._catalog.delete_object(instance.name, table, row_id)
-                    continue
-                obj = instance.new_object()
-                for annotation, _columns in pairs:
-                    contribution = self.contributions.analyze(instance, annotation)
-                    instance.add_to(obj, annotation, contribution)
-                self._catalog.save_object(instance.name, table, row_id, obj)
-                summarized += 1
-        return summarized
 
     # -- reads --------------------------------------------------------
 

@@ -7,8 +7,9 @@ row, while the incremental path's cost is per-annotation — the gap the
 EXP-M1 benchmark measures.
 
 The standalone :func:`rebuild_row` / :func:`rebuild_table` helpers are also
-used legitimately: to bootstrap a newly linked instance and to repair state
-after non-invertible changes (e.g. retraining a classifier model).
+used legitimately: to bootstrap a newly linked instance (a link *is* a
+table rebuild) and to repair state after non-invertible changes (e.g.
+retraining a classifier model).
 """
 
 from __future__ import annotations
@@ -57,13 +58,24 @@ def rebuild_table(
     instance_name: str,
     table: str,
 ) -> int:
-    """Rebuild every row of ``table`` for one instance; returns row count."""
+    """Rebuild every row of ``table`` for one instance; returns how many
+    rows got an object (rows without annotations get none).
+
+    Rows are rebuilt in memory, then the pair's stored state is replaced
+    in one write: on each shard, one transaction purges the pair and
+    upserts the rebuilt objects.  Linking an instance to a table is this
+    rebuild (:meth:`~repro.engine.session.InsightNotes.link`).
+    """
     instance = catalog.get_instance(instance_name)
-    rebuilt = 0
+    objects: dict[int, SummaryObject] = {}
     for row_id, _values in database.rows(table):
-        if rebuild_row(annotations, catalog, instance, table, row_id) is not None:
-            rebuilt += 1
-    return rebuilt
+        obj = rebuild_row(
+            annotations, catalog, instance, table, row_id, persist=False
+        )
+        if obj is not None:
+            objects[row_id] = obj
+    catalog.replace_objects(instance_name, table, objects)
+    return len(objects)
 
 
 class RebuildMaintainer:
@@ -88,21 +100,19 @@ class RebuildMaintainer:
         self, annotation: Annotation, cells: Iterable[CellRef]
     ) -> int:
         """Rebuild the summaries of every row the annotation touches."""
-        rows: dict[tuple[str, int], None] = {}
-        for cell in cells:
-            rows.setdefault((cell.table, cell.row_id), None)
-        rebuilt = 0
-        for table, row_id in rows:
-            for instance in self._catalog.instances_for_table(table):
-                rebuild_row(self._annotations, self._catalog, instance, table, row_id)
-                rebuilt += 1
-        return rebuilt
+        return self._rebuild_rows(
+            dict.fromkeys((cell.table, cell.row_id) for cell in cells)
+        )
 
     def on_annotation_deleted(self, annotation_id: int) -> int:
         """Rebuild the summaries of every row the annotation touched."""
-        affected = self._annotations.rows_for_annotation(annotation_id)
+        return self._rebuild_rows(
+            sorted(self._annotations.rows_for_annotation(annotation_id))
+        )
+
+    def _rebuild_rows(self, rows: Iterable[tuple[str, int]]) -> int:
         rebuilt = 0
-        for table, row_id in sorted(affected):
+        for table, row_id in rows:
             for instance in self._catalog.instances_for_table(table):
                 rebuild_row(self._annotations, self._catalog, instance, table, row_id)
                 rebuilt += 1

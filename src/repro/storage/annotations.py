@@ -5,6 +5,12 @@ across tuples and tables (the same observation may apply to several birds).
 The attachment table is indexed both ways: by annotation (for projection
 semantics and deletion) and by cell (for summarization and zoom-in).
 
+There is one write path, :meth:`AnnotationStore.add_many`; a single
+:meth:`AnnotationStore.add` is a batch of one, and a pinned id (import
+tooling) rides on its draft.  The store builds each batch's inserts as
+per-shard statement lists and hands them to
+:meth:`~repro.storage.database.Database.commit_shards`.
+
 Under a sharded backend an annotation's body and its attachment edges
 are **co-located** on ``shard_of_annotation(annotation_id)``, which
 slices the id space into blocks so a bulk batch of consecutive ids
@@ -23,8 +29,9 @@ AUTOINCREMENT's no-reuse rule (a deleted annotation's id is never
 recycled) across shard files — but, like any cached sequence, ids may
 skip a partial run when a writer thread retires or the store reopens.
 Within one thread ids stay contiguous, so a sequential history produces
-exactly the ids the single-file path would.  The single-file path keeps
-SQLite's own AUTOINCREMENT assignment untouched.
+exactly the ids the single-file path would.  The single-file path
+assigns what SQLite's AUTOINCREMENT would, probed inside the batch's
+transaction.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ import itertools
 import sqlite3
 import threading
 import time
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.concurrency import make_lock
@@ -41,7 +48,7 @@ from repro.errors import AnnotationError, UnknownAnnotationError
 from repro.model.annotation import Annotation, AnnotationKind
 from repro.model.cell import CellRef
 from repro.storage.backend import META_SHARD
-from repro.storage.database import Database
+from repro.storage.database import Database, ShardStatement
 from repro.storage.schema import SYSTEM_PREFIX
 from repro.storage.sqlsafe import placeholders
 
@@ -57,6 +64,17 @@ _IDSEQ_TABLE = f"{SYSTEM_PREFIX}idseq"
 #: block: every batch cut from a run lands on a single shard.
 _ID_RUN = 128
 
+_INSERT_BODIES = f"""
+    INSERT INTO {_ANNOTATIONS_TABLE}
+        (annotation_id, body, author, created_at, kind, title)
+    VALUES (?, ?, ?, ?, ?, ?)
+"""
+_INSERT_EDGES = f"""
+    INSERT OR IGNORE INTO {_ATTACHMENTS_TABLE}
+        (annotation_id, table_name, row_id, column_name)
+    VALUES (?, ?, ?, ?)
+"""
+
 
 @dataclass(frozen=True)
 class AnnotationDraft:
@@ -65,6 +83,8 @@ class AnnotationDraft:
     A plain value object mirroring :meth:`AnnotationStore.add`'s
     parameters, so a whole batch can be validated up front and written
     with two ``executemany`` calls in a single transaction.
+    ``annotation_id`` pins the id (import tooling); a batch pins every
+    id or none.
     """
 
     text: str
@@ -73,6 +93,7 @@ class AnnotationDraft:
     kind: AnnotationKind = AnnotationKind.COMMENT
     title: str = ""
     created_at: float | None = None
+    annotation_id: int | None = None
 
     def __post_init__(self) -> None:
         # Accept any sequence of cells; store a tuple.
@@ -218,7 +239,7 @@ class AnnotationStore:
         lands inside or beyond it, so later reservations never re-issue
         the pinned id.  (A pin landing inside *another* thread's
         outstanding run is not detectable — explicit-id imports must not
-        run concurrently with bulk ingest, as documented on :meth:`add`.)
+        run concurrently with bulk ingest, as documented on :meth:`add_many`.)
         """
         with self._id_lock, self._db.transaction(META_SHARD) as connection:
             connection.execute(
@@ -249,219 +270,100 @@ class AnnotationStore:
         At least one cell is required — a dangling annotation would never
         be summarized, propagated, or reachable by zoom-in.  An explicit
         ``annotation_id`` pins the id (import tooling must reproduce ids
-        exactly, gaps included); on a sharded store, explicit-id imports
-        must not run concurrently with bulk ingest — a pinned id cannot
-        be evicted from another thread's already-reserved id run.
+        exactly, gaps included).  A batch of one through :meth:`add_many`.
         """
-        self._validate_cells(cells)
-        timestamp = time.time() if created_at is None else created_at
-        if self._db.shard_count > 1:
-            return self._add_sharded(
-                text, cells, author, kind, title, timestamp, annotation_id
-            )
-        with self._db.transaction() as connection:
-            if annotation_id is None:
-                cursor = connection.execute(
-                    f"""
-                    INSERT INTO {_ANNOTATIONS_TABLE}
-                        (body, author, created_at, kind, title)
-                    VALUES (?, ?, ?, ?, ?)
-                    """,
-                    (text, author, timestamp, kind.value, title),
-                )
-                annotation_id = cursor.lastrowid
-                assert annotation_id is not None
-            else:
-                connection.execute(
-                    f"""
-                    INSERT INTO {_ANNOTATIONS_TABLE}
-                        (annotation_id, body, author, created_at, kind, title)
-                    VALUES (?, ?, ?, ?, ?, ?)
-                    """,
-                    (annotation_id, text, author, timestamp, kind.value, title),
-                )
-            connection.executemany(
-                f"""
-                INSERT OR IGNORE INTO {_ATTACHMENTS_TABLE}
-                    (annotation_id, table_name, row_id, column_name)
-                VALUES (?, ?, ?, ?)
-                """,
-                [
-                    (annotation_id, cell.table, cell.row_id, cell.column)
-                    for cell in cells
-                ],
-            )
-        return Annotation(
-            annotation_id=annotation_id,
-            text=text,
-            author=author,
-            created_at=timestamp,
-            kind=kind,
-            title=title,
+        draft = AnnotationDraft(
+            text, tuple(cells), author, kind, title, created_at, annotation_id
         )
-
-    def _add_sharded(
-        self,
-        text: str,
-        cells: Sequence[CellRef],
-        author: str,
-        kind: AnnotationKind,
-        title: str,
-        timestamp: float,
-        annotation_id: int | None,
-    ) -> Annotation:
-        if annotation_id is None:
-            annotation_id = self._reserve_ids(1)
-        else:
-            self._pin_id(annotation_id)
-        annotation_row = (
-            annotation_id, text, author, timestamp, kind.value, title
-        )
-        self._write_fanout([annotation_row], [
-            (annotation_id, cell.table, cell.row_id, cell.column)
-            for cell in cells
-        ])
-        return Annotation(
-            annotation_id=annotation_id,
-            text=text,
-            author=author,
-            created_at=timestamp,
-            kind=kind,
-            title=title,
-        )
+        return self.add_many([draft])[0]
 
     def add_many(self, drafts: Sequence[AnnotationDraft]) -> list[Annotation]:
-        """Bulk :meth:`add`: the whole batch lands in one transaction.
+        """Store a batch of annotations; returns them in draft order.
 
-        Ids are assigned contiguously in draft order, so a batch produces
-        exactly the ids a loop of single adds would.  The batch is
-        validated up front and written with one ``executemany`` per table
-        — two statements' worth of Python/SQLite boundary crossings
-        instead of two per annotation.  Single-file, the batch is
-        all-or-nothing; sharded, the batch's consecutive ids give it a
-        home shard (two at a block boundary), each sub-batch commits in
-        one per-shard transaction, and atomicity is per shard — see
-        DESIGN.md §11 for the cross-shard caveat.
+        A batch pins every id (``AnnotationDraft.annotation_id``) or none;
+        unpinned ids are assigned contiguously in draft order, so a batch
+        produces exactly the ids a loop of single adds would.  The batch
+        is validated up front and written with one ``executemany`` per
+        table.  Single-file, the batch is all-or-nothing; sharded, the
+        batch's consecutive ids give it a home shard (two at a block
+        boundary), the rows go out through
+        :meth:`~repro.storage.database.Database.commit_shards`, and
+        atomicity is per shard — see DESIGN.md §11 for the cross-shard
+        caveat.  On a sharded store, pinned-id imports must not run
+        concurrently with bulk ingest: a pinned id cannot be evicted
+        from another thread's already-reserved id run.
         """
         if not drafts:
             return []
+        pinned = [
+            draft.annotation_id
+            for draft in drafts
+            if draft.annotation_id is not None
+        ]
+        if pinned and len(pinned) != len(drafts):
+            raise AnnotationError(
+                "a batch must pin every annotation id or none"
+            )
         for draft in drafts:
             self._validate_cells(draft.cells)
         now = time.time()
-        annotations: list[Annotation] = []
-        annotation_rows: list[tuple[int, str, str, float, str, str]] = []
-        attachment_rows: list[tuple[int, str, int, str]] = []
-
-        def build(next_id: int) -> None:
-            for offset, draft in enumerate(drafts):
-                annotation_id = next_id + offset
-                timestamp = (
-                    now if draft.created_at is None else draft.created_at
-                )
-                annotation_rows.append(
-                    (
-                        annotation_id,
-                        draft.text,
-                        draft.author,
-                        timestamp,
-                        draft.kind.value,
-                        draft.title,
-                    )
-                )
-                attachment_rows.extend(
-                    (annotation_id, cell.table, cell.row_id, cell.column)
-                    for cell in draft.cells
-                )
-                annotations.append(
-                    Annotation(
-                        annotation_id=annotation_id,
-                        text=draft.text,
-                        author=draft.author,
-                        created_at=timestamp,
-                        kind=draft.kind,
-                        title=draft.title,
-                    )
-                )
-
+        ids: Sequence[int] = pinned
         if self._db.shard_count > 1:
-            build(self._reserve_ids(len(drafts)))
-            self._write_fanout(annotation_rows, attachment_rows)
+            if pinned:
+                self._pin_id(max(pinned))
+            else:
+                first = self._reserve_ids(len(drafts))
+                ids = range(first, first + len(drafts))
+            annotations, batches = self._batch_rows(drafts, ids, now)
+            self._db.commit_shards(batches)
             return annotations
         with self._db.transaction() as connection:
-            # The id probe must run on the writer inside this transaction
-            # (a pooled reader only sees already-committed state).
-            build(self._next_annotation_id(connection))
-            connection.executemany(
-                f"""
-                INSERT INTO {_ANNOTATIONS_TABLE}
-                    (annotation_id, body, author, created_at, kind, title)
-                VALUES (?, ?, ?, ?, ?, ?)
-                """,
-                annotation_rows,
-            )
-            connection.executemany(
-                f"""
-                INSERT OR IGNORE INTO {_ATTACHMENTS_TABLE}
-                    (annotation_id, table_name, row_id, column_name)
-                VALUES (?, ?, ?, ?)
-                """,
-                attachment_rows,
-            )
+            if not pinned:
+                # The id probe must run on the writer inside this
+                # transaction (a pooled reader only sees committed state).
+                first = self._next_annotation_id(connection)
+                ids = range(first, first + len(drafts))
+            annotations, batches = self._batch_rows(drafts, ids, now)
+            (statements,) = batches.values()  # single-file: one shard
+            for sql, rows in statements:
+                connection.executemany(sql, rows)
         return annotations
 
-    def _write_fanout(
-        self,
-        annotation_rows: Sequence[tuple[int, str, str, float, str, str]],
-        attachment_rows: Sequence[tuple[int, str, int, str]],
-    ) -> None:
-        """Commit one logical batch as per-shard sub-transactions.
-
-        Bodies and attachments both group by the annotation id's shard
-        (they are co-located), so a batch of consecutive ids produces
-        one transaction — two at a block boundary — executed inline by
-        the calling thread; only wide batches fan out onto the backend's
-        writer pool.  Concurrent ingest threads therefore commit on
-        disjoint shard locks instead of all queueing on every shard.
-        """
-        bodies: dict[int, list[tuple[int, str, str, float, str, str]]] = {}
-        for annotation_row in annotation_rows:
-            shard = self._ann_shard(annotation_row[0])
-            bodies.setdefault(shard, []).append(annotation_row)
-        attachments: dict[int, list[tuple[int, str, int, str]]] = {}
-        for attachment_row in attachment_rows:
-            shard = self._ann_shard(attachment_row[0])
-            attachments.setdefault(shard, []).append(attachment_row)
-
-        def write_shard(shard: int) -> Callable[[], None]:
-            def thunk() -> None:
-                with self._db.transaction(shard) as connection:
-                    if shard in bodies:
-                        connection.executemany(
-                            f"""
-                            INSERT INTO {_ANNOTATIONS_TABLE}
-                                (annotation_id, body, author, created_at,
-                                 kind, title)
-                            VALUES (?, ?, ?, ?, ?, ?)
-                            """,
-                            bodies[shard],
-                        )
-                    if shard in attachments:
-                        connection.executemany(
-                            f"""
-                            INSERT OR IGNORE INTO {_ATTACHMENTS_TABLE}
-                                (annotation_id, table_name, row_id,
-                                 column_name)
-                            VALUES (?, ?, ?, ?)
-                            """,
-                            attachments[shard],
-                        )
-
-            return thunk
-
-        touched = sorted(set(bodies) | set(attachments))
-        self._db.backend.run_write_fanout(
-            [write_shard(shard) for shard in touched]
-        )
+    def _batch_rows(
+        self, drafts: Sequence[AnnotationDraft], ids: Sequence[int], now: float
+    ) -> tuple[list[Annotation], dict[int, list[ShardStatement]]]:
+        """A batch whose ids are decided: its annotations, and the body
+        and attachment inserts grouped by home shard (bodies and
+        attachments are co-located).  ``now`` stamps undated drafts."""
+        annotations: list[Annotation] = []
+        by_shard: dict[int, tuple[list[tuple], list[tuple]]] = {}
+        for annotation_id, draft in zip(ids, drafts):
+            timestamp = now if draft.created_at is None else draft.created_at
+            bodies, edges = by_shard.setdefault(
+                self._ann_shard(annotation_id), ([], [])
+            )
+            bodies.append(
+                (annotation_id, draft.text, draft.author, timestamp,
+                 draft.kind.value, draft.title)
+            )
+            edges.extend(
+                (annotation_id, cell.table, cell.row_id, cell.column)
+                for cell in draft.cells
+            )
+            annotations.append(
+                Annotation(
+                    annotation_id=annotation_id,
+                    text=draft.text,
+                    author=draft.author,
+                    created_at=timestamp,
+                    kind=draft.kind,
+                    title=draft.title,
+                )
+            )
+        return annotations, {
+            shard: [(_INSERT_BODIES, bodies), (_INSERT_EDGES, edges)]
+            for shard, (bodies, edges) in by_shard.items()
+        }
 
     def _next_annotation_id(self, connection: sqlite3.Connection) -> int:
         """First free annotation id, honouring AUTOINCREMENT's no-reuse rule.
@@ -858,3 +760,4 @@ def _annotation_from_row(row: Sequence[object]) -> Annotation:
         kind=AnnotationKind(kind),
         title=str(title),
     )
+

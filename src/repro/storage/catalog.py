@@ -33,7 +33,7 @@ block.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from repro.concurrency import make_lock
 from repro.errors import (
@@ -42,7 +42,7 @@ from repro.errors import (
     UnknownInstanceError,
 )
 from repro.storage.backend import META_SHARD
-from repro.storage.database import Database
+from repro.storage.database import Database, ShardStatement
 from repro.storage.schema import SYSTEM_PREFIX
 from repro.storage.sqlsafe import placeholders
 from repro.summaries.base import SummaryInstance, SummaryObject
@@ -51,6 +51,13 @@ from repro.summaries.registry import SummaryTypeRegistry, default_registry
 _INSTANCES_TABLE = f"{SYSTEM_PREFIX}instances"
 _LINKS_TABLE = f"{SYSTEM_PREFIX}links"
 _STATE_TABLE = f"{SYSTEM_PREFIX}summary_state"
+
+_UPSERT_STATE = f"""
+    INSERT INTO {_STATE_TABLE} (instance_name, table_name, row_id, object)
+    VALUES (?, ?, ?, ?)
+    ON CONFLICT (instance_name, table_name, row_id)
+    DO UPDATE SET object = excluded.object
+"""
 
 
 class SummaryCatalog:
@@ -159,31 +166,16 @@ class SummaryCatalog:
         """
         if not self.has_instance(instance_name):
             raise UnknownInstanceError(instance_name)
-
-        def purge(shard: int) -> Callable[[], None]:
-            def thunk() -> None:
-                with self._db.transaction(shard) as connection:
-                    connection.execute(
-                        f"DELETE FROM {_STATE_TABLE} WHERE instance_name = ?",
-                        (instance_name,),
-                    )
-                    if shard == META_SHARD:
-                        connection.execute(
-                            f"DELETE FROM {_LINKS_TABLE} "
-                            "WHERE instance_name = ?",
-                            (instance_name,),
-                        )
-                        connection.execute(
-                            f"DELETE FROM {_INSTANCES_TABLE} "
-                            "WHERE instance_name = ?",
-                            (instance_name,),
-                        )
-
-            return thunk
-
-        self._db.backend.run_write_fanout(
-            [purge(shard) for shard in range(self._db.shard_count)]
-        )
+        key = [(instance_name,)]
+        batches: dict[int, list[ShardStatement]] = {
+            shard: [(f"DELETE FROM {_STATE_TABLE} WHERE instance_name = ?", key)]
+            for shard in range(self._db.shard_count)
+        }
+        batches[META_SHARD] += [
+            (f"DELETE FROM {_LINKS_TABLE} WHERE instance_name = ?", key),
+            (f"DELETE FROM {_INSTANCES_TABLE} WHERE instance_name = ?", key),
+        ]
+        self._db.commit_shards(batches)
         with self._instances_lock:
             self._live_instances.pop(instance_name, None)
 
@@ -257,31 +249,15 @@ class SummaryCatalog:
         """Remove a link and the instance's state for that table."""
         if not self.has_instance(instance_name):
             raise UnknownInstanceError(instance_name)
-
-        def purge(shard: int) -> Callable[[], None]:
-            def thunk() -> None:
-                with self._db.transaction(shard) as connection:
-                    if shard == META_SHARD:
-                        connection.execute(
-                            f"""
-                            DELETE FROM {_LINKS_TABLE}
-                            WHERE instance_name = ? AND table_name = ?
-                            """,
-                            (instance_name, table_name),
-                        )
-                    connection.execute(
-                        f"""
-                        DELETE FROM {_STATE_TABLE}
-                        WHERE instance_name = ? AND table_name = ?
-                        """,
-                        (instance_name, table_name),
-                    )
-
-            return thunk
-
-        self._db.backend.run_write_fanout(
-            [purge(shard) for shard in range(self._db.shard_count)]
+        batches = self._purge_pair(instance_name, table_name)
+        batches[META_SHARD].append(
+            (
+                f"DELETE FROM {_LINKS_TABLE} "
+                "WHERE instance_name = ? AND table_name = ?",
+                [(instance_name, table_name)],
+            )
         )
+        self._db.commit_shards(batches)
 
     def is_linked(self, instance_name: str, table_name: str) -> bool:
         """True when the instance is linked to the table."""
@@ -351,7 +327,7 @@ class SummaryCatalog:
         entries: Sequence[tuple[str, str, int, SummaryObject]],
     ) -> int:
         """Bulk :meth:`save_object`: one ``executemany`` upsert, one
-        transaction.
+        transaction per home shard.
 
         The bulk ingestion write-back path — a batch that touched N
         summary objects persists them with a single
@@ -362,6 +338,51 @@ class SummaryCatalog:
         """
         if not entries:
             return 0
+        self._db.commit_shards(
+            {
+                shard: [(_UPSERT_STATE, rows)]
+                for shard, rows in self._state_rows(entries).items()
+            }
+        )
+        return len(entries)
+
+    def replace_objects(
+        self,
+        instance_name: str,
+        table_name: str,
+        objects: Mapping[int, SummaryObject],
+    ) -> None:
+        """Replace all of one pair's summary state with ``objects``.
+
+        ``objects`` maps row id to its object; rows absent from it keep
+        no state.  On every shard one transaction purges the pair and
+        upserts the shard's objects — the rebuild write-back.
+        """
+        batches = self._purge_pair(instance_name, table_name)
+        entries = [(instance_name, table_name, row, obj) for row, obj in objects.items()]
+        for shard, rows in self._state_rows(entries).items():
+            batches[shard].append((_UPSERT_STATE, rows))
+        self._db.commit_shards(batches)
+
+    def _purge_pair(
+        self, instance_name: str, table_name: str
+    ) -> dict[int, list[ShardStatement]]:
+        """Per-shard statements deleting one pair's summary state."""
+        return {
+            shard: [
+                (
+                    f"DELETE FROM {_STATE_TABLE} "
+                    "WHERE instance_name = ? AND table_name = ?",
+                    [(instance_name, table_name)],
+                )
+            ]
+            for shard in range(self._db.shard_count)
+        }
+
+    def _state_rows(
+        self, entries: Sequence[tuple[str, str, int, SummaryObject]]
+    ) -> dict[int, list[tuple[str, str, int, str]]]:
+        """Serialized state rows grouped by home shard."""
         by_shard: dict[int, list[tuple[str, str, int, str]]] = {}
         backend = self._db.backend
         for instance_name, table_name, row_id, obj in entries:
@@ -373,27 +394,7 @@ class SummaryCatalog:
             by_shard.setdefault(backend.shard_of(table_name, row_id), []).append(
                 (instance_name, table_name, row_id, json.dumps(obj.to_json()))
             )
-
-        def write_shard(shard: int) -> Callable[[], None]:
-            def thunk() -> None:
-                with self._db.transaction(shard) as connection:
-                    connection.executemany(
-                        f"""
-                        INSERT INTO {_STATE_TABLE}
-                            (instance_name, table_name, row_id, object)
-                        VALUES (?, ?, ?, ?)
-                        ON CONFLICT (instance_name, table_name, row_id)
-                        DO UPDATE SET object = excluded.object
-                        """,
-                        by_shard[shard],
-                    )
-
-            return thunk
-
-        backend.run_write_fanout(
-            [write_shard(shard) for shard in sorted(by_shard)]
-        )
-        return len(entries)
+        return by_shard
 
     def load_object(
         self, instance_name: str, table_name: str, row_id: int

@@ -13,11 +13,17 @@ over a pluggable :class:`~repro.storage.backend.StorageBackend`:
 * :class:`~repro.storage.sharded.ShardedBackend` (``shards=N``)
   hash-partitions rows across ``N`` files, each with its own pool and
   independently serialized writer.  Inserts route by
-  ``shard_of(table, row)``, bulk inserts fan per-shard sub-batches out
-  concurrently, and :meth:`Database.scan` scatter-gathers: one producer
-  per shard streams its ordered rows into a bounded queue and a k-way
-  heap merge reassembles the single global rowid order — byte-identical
-  to the single-file scan, including pushed-down filters and LIMIT.
+  ``shard_of(table, row)``, and :meth:`Database.scan` scatter-gathers:
+  one producer per shard streams its ordered rows into a bounded queue
+  and a k-way heap merge reassembles the single global rowid order —
+  byte-identical to the single-file scan, including pushed-down filters
+  and LIMIT.
+
+Every write of rows is a batch: :meth:`Database.insert` is an
+:meth:`Database.insert_many` of one.  Every store's sharded write —
+rows here, annotation bodies, summary state and catalog purges —
+reaches the shards through :meth:`Database.commit_shards`, which runs
+each shard's statements in one transaction and fans the shards out.
 
 Every stored row is addressed by its SQLite ``rowid``, which the
 annotation store and summary catalog use as the stable tuple identity.
@@ -33,6 +39,7 @@ strings round-trip unchanged.
 from __future__ import annotations
 
 import contextlib
+import functools
 import heapq
 import queue
 import sqlite3
@@ -67,6 +74,10 @@ _SCAN_FETCH_SIZE = 256
 #: Batches a scatter-gather producer may buffer ahead of the merge —
 #: bounds memory at (shards × depth × fetch size) rows per scan.
 _SCAN_QUEUE_DEPTH = 4
+
+#: One statement of a per-shard write batch: SQL and the parameter rows
+#: it runs over (see :meth:`Database.commit_shards`).
+ShardStatement = tuple[str, Sequence[Sequence[Any]]]
 
 #: End-of-stream marker on a producer queue.
 _SCAN_DONE = object()
@@ -468,121 +479,106 @@ class Database:
         ``values`` is either a positional sequence matching the schema or
         a column-name mapping (missing columns become NULL).  An explicit
         ``row_id`` pins the rowid — used by import tooling, which must
-        preserve annotation attachments keyed on rowids.
+        preserve annotation attachments keyed on rowids.  A batch of one
+        through :meth:`insert_many`.
         """
-        schema = self.schema(table)
         if isinstance(values, Mapping):
+            schema = self.schema(table)
             unknown = set(values) - set(schema.columns)
             if unknown:
                 raise StorageError(
                     f"unknown columns for {table!r}: {sorted(unknown)}"
                 )
-            row = tuple(values.get(column) for column in schema.columns)
-        else:
-            schema.check_values(values)
-            row = tuple(values)
-        if self._backend.shard_count > 1:
-            return self._insert_sharded(table, schema, row, row_id)
-        with self._backend.transaction() as connection:
-            if row_id is None:
-                marks = placeholders(len(schema.columns))
-                cursor = connection.execute(
-                    f"INSERT INTO {quote_ident(table)} VALUES ({marks})",
-                    row,
-                )
-            else:
-                marks = placeholders(1 + len(schema.columns))
-                cursor = connection.execute(
-                    f"INSERT INTO {quote_ident(table)} "
-                    f"(rowid, {quoted_csv(schema.columns)}) "
-                    f"VALUES ({marks})",
-                    (row_id, *row),
-                )
-            rowid = cursor.lastrowid
-        assert rowid is not None
-        return rowid
-
-    def _insert_sharded(
-        self,
-        table: str,
-        schema: TableSchema,
-        row: tuple[Any, ...],
-        row_id: int | None,
-    ) -> int:
-        """Route one row to its home shard, with an engine-assigned
-        rowid (each shard's file has a private rowid space)."""
-        if row_id is None:
-            row_id = self._allocate_rowids(table, 1)
-        else:
-            self._note_explicit_rowid(table, row_id)
-        shard = self._backend.shard_of(table, row_id)
-        marks = placeholders(1 + len(schema.columns))
-        with self._backend.transaction(shard) as connection:
-            connection.execute(
-                f"INSERT INTO {quote_ident(table)} "
-                f"(rowid, {quoted_csv(schema.columns)}) "
-                f"VALUES ({marks})",
-                (row_id, *row),
-            )
-        return row_id
+            values = tuple(values.get(column) for column in schema.columns)
+        row_ids = None if row_id is None else [row_id]
+        return self.insert_many(table, [values], row_ids=row_ids)[0]
 
     def insert_many(
-        self, table: str, rows: Sequence[Sequence[Any]]
+        self,
+        table: str,
+        rows: Sequence[Sequence[Any]],
+        row_ids: Sequence[int] | None = None,
     ) -> list[int]:
         """Insert multiple positional rows; returns their rowids.
 
-        Single-file: one transaction (and one write-lock window) for the
-        whole batch; per-row execution because each row's assigned rowid
-        is returned.  Sharded: rowids are pre-assigned, rows grouped by
-        home shard, and the per-shard sub-batches committed concurrently
-        — their commit waits overlap, which is the point of sharding.
+        ``row_ids`` pins one rowid per row (import tooling); omitted,
+        rowids are assigned as SQLite would (``max(rowid) + 1``).  The
+        batch is validated before anything is written.  Single-file: one
+        transaction (and one write-lock window) for the whole batch;
+        per-row execution because each row's assigned rowid is returned.
+        Sharded: rowids are pre-assigned and the rows go out through
+        :meth:`commit_shards`, one transaction per home shard.
         """
         schema = self.schema(table)
-        if self._backend.shard_count > 1:
-            return self._insert_many_sharded(table, schema, rows)
-        marks = placeholders(len(schema.columns))
-        sql = f"INSERT INTO {quote_ident(table)} VALUES ({marks})"
-        row_ids: list[int] = []
-        with self._backend.transaction() as connection:
-            for row in rows:
-                schema.check_values(row)
-                cursor = connection.execute(sql, tuple(row))
-                assert cursor.lastrowid is not None
-                row_ids.append(cursor.lastrowid)
-        return row_ids
-
-    def _insert_many_sharded(
-        self, table: str, schema: TableSchema, rows: Sequence[Sequence[Any]]
-    ) -> list[int]:
         for row in rows:
             schema.check_values(row)
+        if row_ids is not None and len(row_ids) != len(rows):
+            raise StorageError(
+                f"{len(row_ids)} rowids given for {len(rows)} rows"
+            )
         if not rows:
             return []
-        backend = self._backend
-        assert isinstance(backend, ShardedBackend)
-        first = self._allocate_rowids(table, len(rows))
-        row_ids = list(range(first, first + len(rows)))
+        pinned_sql = (
+            f"INSERT INTO {quote_ident(table)} "
+            f"(rowid, {quoted_csv(schema.columns)}) "
+            f"VALUES ({placeholders(1 + len(schema.columns))})"
+        )
+        if self._backend.shard_count == 1:
+            if row_ids is None:
+                marks = placeholders(len(schema.columns))
+                sql = f"INSERT INTO {quote_ident(table)} VALUES ({marks})"
+                params = [tuple(row) for row in rows]
+            else:
+                sql = pinned_sql
+                params = [(row_id, *row) for row_id, row in zip(row_ids, rows)]
+            assigned: list[int] = []
+            with self._backend.transaction() as connection:
+                for bound in params:
+                    cursor = connection.execute(sql, bound)
+                    assert cursor.lastrowid is not None
+                    assigned.append(cursor.lastrowid)
+            return assigned
+        if row_ids is None:
+            first = self._allocate_rowids(table, len(rows))
+            row_ids = range(first, first + len(rows))
+        else:
+            self._note_explicit_rowid(table, max(row_ids))
         by_shard: dict[int, list[tuple[Any, ...]]] = {}
         for row_id, row in zip(row_ids, rows):
-            shard = backend.shard_of(table, row_id)
+            shard = self._backend.shard_of(table, row_id)
             by_shard.setdefault(shard, []).append((row_id, *row))
-        marks = placeholders(1 + len(schema.columns))
-        sql = (
-            f"INSERT INTO {quote_ident(table)} "
-            f"(rowid, {quoted_csv(schema.columns)}) VALUES ({marks})"
+        self.commit_shards(
+            {shard: [(pinned_sql, batch)] for shard, batch in by_shard.items()}
+        )
+        return list(row_ids)
+
+    def commit_shards(
+        self, batches: Mapping[int, Sequence[ShardStatement]]
+    ) -> None:
+        """Commit one logical write as per-shard statement batches.
+
+        ``batches`` maps a shard to its ``(sql, rows)`` statements; each
+        shard runs them in order, every one as ``executemany``, inside
+        one transaction.  This is the one place a store's write reaches
+        :meth:`~repro.storage.backend.StorageBackend.run_write_fanout`:
+        narrow fan-outs run inline, wide ones overlap their commit waits,
+        every shard's transaction is awaited even when one fails, and the
+        first failure is re-raised.  Atomicity is per shard (DESIGN.md
+        §11).
+        """
+        self._backend.run_write_fanout(
+            [
+                functools.partial(self._commit_shard, shard, batches[shard])
+                for shard in sorted(batches)
+            ]
         )
 
-        def write_shard(shard: int) -> Callable[[], None]:
-            def thunk() -> None:
-                with backend.transaction(shard) as connection:
-                    connection.executemany(sql, by_shard[shard])
-
-            return thunk
-
-        backend.run_write_fanout(
-            [write_shard(shard) for shard in sorted(by_shard)]
-        )
-        return row_ids
+    def _commit_shard(
+        self, shard: int, statements: Sequence[ShardStatement]
+    ) -> None:
+        with self._backend.transaction(shard) as connection:
+            for sql, rows in statements:
+                connection.executemany(sql, rows)
 
     def delete_row(self, table: str, row_id: int) -> None:
         """Delete one row by rowid (no-op when absent)."""

@@ -22,6 +22,7 @@ from repro.engine.session import InsightNotes
 from repro.errors import InsightNotesError
 from repro.model.annotation import AnnotationKind
 from repro.model.cell import CellRef
+from repro.storage.annotations import AnnotationDraft
 from repro.summaries.registry import SummaryTypeRegistry
 
 #: Format version stamped into every export.
@@ -89,9 +90,12 @@ def import_database(
 ) -> InsightNotes:
     """Rebuild a session from an export, re-summarizing everything.
 
-    Annotations are replayed in id order through the live maintenance
-    path, so the imported summaries are guaranteed consistent with the
-    raw annotations (and with what a fresh deployment would compute).
+    Rows and annotations keep their exported ids: each table is one
+    ``insert_many`` with pinned rowids, and all annotations are one
+    ``add_many`` batch of pinned drafts.  The batch is then folded in
+    through the live ingest path (``SummaryManager.add_annotations``) in
+    id order, so the imported summaries are guaranteed consistent with
+    the raw annotations (and with what a fresh deployment would compute).
     """
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -102,33 +106,38 @@ def import_database(
     session = InsightNotes(path, registry=registry)
     for table in data.get("tables", []):
         session.create_table(table["name"], table["columns"])
-        for row in table["rows"]:
-            session.db.insert(
-                table["name"], row["values"], row_id=row["row_id"]
-            )
+        session.db.insert_many(
+            table["name"],
+            [row["values"] for row in table["rows"]],
+            row_ids=[row["row_id"] for row in table["rows"]],
+        )
     for instance in data.get("instances", []):
         session.define_instance(
             instance["type"], instance["name"], instance["config"]
         )
     for link in data.get("links", []):
         session.catalog.link(link["instance"], link["table"])
-    for entry in sorted(
-        data.get("annotations", []), key=lambda a: a["annotation_id"]
-    ):
-        cells = [
-            CellRef(cell["table"], cell["row_id"], cell["column"])
-            for cell in entry["cells"]
-        ]
-        annotation = session.annotations.add(
-            entry["text"],
-            cells,
+    drafts = [
+        AnnotationDraft(
+            text=entry["text"],
+            cells=tuple(
+                CellRef(cell["table"], cell["row_id"], cell["column"])
+                for cell in entry["cells"]
+            ),
             author=entry.get("author", "anonymous"),
             kind=AnnotationKind(entry.get("kind", "comment")),
             title=entry.get("title", ""),
             created_at=entry.get("created_at"),
             annotation_id=entry["annotation_id"],
         )
-        session.manager.on_annotation_added(annotation, cells)
+        for entry in sorted(
+            data.get("annotations", []), key=lambda a: a["annotation_id"]
+        )
+    ]
+    stored = session.annotations.add_many(drafts)
+    session.manager.add_annotations(
+        [(annotation, draft.cells) for annotation, draft in zip(stored, drafts)]
+    )
     return session
 
 

@@ -38,6 +38,18 @@ class TestNoSQLUnderLock:
         assert rule_ids(findings) == ["IN001"]
         assert "inside a lock" in findings[0].message
 
+    def test_shard_fanout_inside_lock_is_flagged(self):
+        findings = lint(
+            """
+            class Store:
+                def save(self, batches):
+                    with self._lock:
+                        self._db.commit_shards(batches)
+            """,
+            rules=["IN001"],
+        )
+        assert rule_ids(findings) == ["IN001"]
+
     def test_pool_checkout_inside_lock_is_flagged(self):
         findings = lint(
             """

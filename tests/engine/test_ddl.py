@@ -4,7 +4,7 @@ import pytest
 
 from repro import InsightNotes
 from repro.engine.ddl import CreateTable, DeleteFrom, InsertInto, parse_ddl
-from repro.errors import SQLSyntaxError, StorageError
+from repro.errors import SchemaError, SQLSyntaxError, StorageError
 from tests.conftest import TRAINING
 
 
@@ -68,6 +68,14 @@ class TestExecution:
         stack.execute("CREATE TABLE m (a, b)")
         with pytest.raises(Exception):
             stack.execute("INSERT INTO m VALUES (1)")
+
+    def test_multi_row_insert_is_atomic(self, stack):
+        stack.execute("CREATE TABLE t (a, b)")
+        stack.execute("INSERT INTO t VALUES (0, 0)")
+        with pytest.raises(SchemaError):
+            stack.execute("INSERT INTO t VALUES (1, 2), (3)")
+        # The good first row must not be committed without the bad one.
+        assert stack.db.row_count("t") == 1
 
     def test_delete_cascades_annotations(self, stack):
         stack.execute("CREATE TABLE m (station, value)")

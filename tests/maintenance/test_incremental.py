@@ -4,6 +4,7 @@ import pytest
 
 from repro import InsightNotes
 from repro.maintenance.incremental import SummaryManager
+from repro.maintenance.rebuild import rebuild_table
 from tests.conftest import TRAINING
 
 
@@ -150,22 +151,47 @@ class TestPersistenceModes:
 
 
 class TestSummarizeTable:
+    """Linking summarizes a table's existing rows: a rebuild of the pair."""
+
     def test_bootstrap_existing_annotations(self, stack):
         stack.add_annotation("observed feeding on weeds",
                              table="birds", row_id=1)
         stack.define_classifier("Late", ["Behavior", "Disease"], TRAINING)
         stack.catalog.link("Late", "birds")
-        summarized = stack.manager.summarize_table("Late", "birds")
+        with stack.manager.bypass():
+            summarized = rebuild_table(
+                stack.db, stack.annotations, stack.catalog, "Late", "birds"
+            )
         assert summarized == 1  # only row 1 has annotations
         obj = stack.manager.current_object("Late", "birds", 1)
         assert obj.count("Behavior") == 1
 
     def test_bootstrap_clears_stale_state(self, stack):
         stack.add_annotation("observed feeding", table="birds", row_id=1)
-        stack.manager.summarize_table("C", "birds")
+        stack.link("C", "birds")
         obj = stack.manager.current_object("C", "birds", 1)
         assert len(obj.annotation_ids()) == 1  # not doubled
 
     def test_rows_without_annotations_have_no_object(self, stack):
-        stack.manager.summarize_table("C", "birds")
+        stack.link("C", "birds")
         assert stack.catalog.load_object("C", "birds", 2) is None
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_link_writes_once_per_shard_not_per_row(self, tmp_path, shards):
+        path = ":memory:" if shards == 1 else str(tmp_path / "link.db")
+        notes = InsightNotes(path, shards=shards)
+        try:
+            notes.create_table("birds", ["name"])
+            notes.insert_many("birds", [(f"bird{i}",) for i in range(40)])
+            notes.add_annotation("observed feeding", table="birds", row_id=3)
+            notes.define_classifier("C", ["Behavior", "Disease"], TRAINING)
+            with notes.db.track_queries() as counter:
+                notes.link("C", "birds")
+            begins = counter.by_prefix().get("BEGIN", 0)
+            # One transaction for the link row, then one per shard for
+            # the rebuilt state — never one per row.
+            assert 1 <= begins <= shards + 1
+            obj = notes.manager.current_object("C", "birds", 3)
+            assert obj.count("Behavior") == 1
+        finally:
+            notes.close()
