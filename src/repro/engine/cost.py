@@ -5,17 +5,16 @@ DESIGN.md §13.  Two pieces live here:
 * :class:`CatalogStatistics` — per-table statistics (row counts,
   per-column distinct values, per-instance summary-object counts and
   serialized bytes, attachment counts), collected by ``ANALYZE``
-  (:meth:`CatalogStatistics.analyze`), kept roughly current by
-  incremental upkeep on ingest, persisted through
-  :class:`~repro.storage.planner_stats.PlannerStatsStore`, and refined
-  by live execution feedback (observed ``rows_scanned`` of full scans).
+  (:meth:`CatalogStatistics.analyze`), seeded from a COUNT(*) for a
+  never-analyzed table, and refined by live execution feedback
+  (observed ``rows_scanned`` of full scans).  They live in memory only.
 * :class:`CostModel` — prices a logical plan bottom-up into a
   :class:`CostEstimate` (output cardinality + abstract cost units).
   The units are calibrated relative to each other, not to wall-clock:
   streaming a row costs ~1, evaluating a predicate a fraction of that,
   hydrating a row several times more (plus a per-byte term for summary
   deserialization).  With no statistics at all the model falls back to
-  fixed defaults, so ``explain()`` works on an empty ``planner_stats``.
+  fixed defaults, so ``explain()`` works before any ``ANALYZE``.
 
 The model prices plans and decides nothing: every rewrite in
 :class:`~repro.engine.planner.Planner` is a rule, and the estimates feed
@@ -26,7 +25,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -49,18 +48,9 @@ from repro.errors import PlanError, UnknownTableError
 from repro.storage.annotations import AnnotationStore
 from repro.storage.catalog import SummaryCatalog
 from repro.storage.database import Database
-from repro.storage.planner_stats import PlannerStatsStore
 
 if TYPE_CHECKING:
     from repro.engine.operators import ExecutionStats
-
-_ANALYZED_AT_KEY = "analyzed_at"
-_ROW_COUNT_KEY = "row_count"
-_ANNOTATIONS_KEY = "annotations"
-_NDV_PREFIX = "ndv:"
-_SUMMARY_COUNT_PREFIX = "summary_count:"
-_SUMMARY_BYTES_PREFIX = "summary_bytes:"
-
 
 @dataclass
 class TableStats:
@@ -79,8 +69,6 @@ class TableStats:
     #: epoch seconds of the collecting ANALYZE; None when the stats were
     #: only seeded from a COUNT(*) or execution feedback.
     analyzed_at: float | None = None
-    #: ingest events since the last ANALYZE (drift indicator).
-    pending_changes: float = 0.0
 
     def column_ndv(self, column: str) -> float | None:
         """Distinct values of ``column``, clamped into [1, row_count]."""
@@ -88,49 +76,6 @@ class TableStats:
         if value is None:
             return None
         return max(1.0, min(value, max(self.row_count, 1.0)))
-
-    def to_stat_map(self) -> dict[str, float]:
-        """Flat key->value form for :class:`PlannerStatsStore`."""
-        stats: dict[str, float] = {
-            _ROW_COUNT_KEY: self.row_count,
-            _ANNOTATIONS_KEY: self.annotations,
-        }
-        if self.analyzed_at is not None:
-            stats[_ANALYZED_AT_KEY] = self.analyzed_at
-        for column, value in self.ndv.items():
-            stats[f"{_NDV_PREFIX}{column}"] = value
-        for instance, (count, total) in self.summary_objects.items():
-            stats[f"{_SUMMARY_COUNT_PREFIX}{instance}"] = count
-            stats[f"{_SUMMARY_BYTES_PREFIX}{instance}"] = total
-        return stats
-
-    @classmethod
-    def from_stat_map(
-        cls, table: str, stats: Mapping[str, float]
-    ) -> "TableStats":
-        """Rebuild from the persisted flat form (inverse of to_stat_map)."""
-        loaded = cls(table)
-        counts: dict[str, float] = {}
-        totals: dict[str, float] = {}
-        for key, value in stats.items():
-            if key == _ROW_COUNT_KEY:
-                loaded.row_count = value
-            elif key == _ANNOTATIONS_KEY:
-                loaded.annotations = value
-            elif key == _ANALYZED_AT_KEY:
-                loaded.analyzed_at = value
-            elif key.startswith(_NDV_PREFIX):
-                loaded.ndv[key[len(_NDV_PREFIX):]] = value
-            elif key.startswith(_SUMMARY_COUNT_PREFIX):
-                counts[key[len(_SUMMARY_COUNT_PREFIX):]] = value
-            elif key.startswith(_SUMMARY_BYTES_PREFIX):
-                totals[key[len(_SUMMARY_BYTES_PREFIX):]] = value
-        for instance in counts.keys() | totals.keys():
-            loaded.summary_objects[instance] = (
-                counts.get(instance, 0.0),
-                totals.get(instance, 0.0),
-            )
-        return loaded
 
     def summary(self) -> dict[str, Any]:
         """Human-readable digest (the return value of ``analyze()``)."""
@@ -150,10 +95,12 @@ class TableStats:
 
 
 class CatalogStatistics:
-    """Statistics registry: collection, upkeep, persistence, feedback.
+    """In-memory statistics registry: seed, collection, feedback.
 
-    Thread-safe; every priced plan reads it while ingest paths bump the
-    incremental counters.
+    Thread-safe; every priced plan reads it and every finished query
+    may feed a row count back.  Nothing is persisted and no write path
+    updates it: statistics only price plans, so a stale estimate costs
+    an explain line, never a wrong or slower plan.
     """
 
     def __init__(
@@ -161,15 +108,12 @@ class CatalogStatistics:
         database: Database,
         annotations: AnnotationStore,
         catalog: SummaryCatalog,
-        store: PlannerStatsStore | None = None,
     ) -> None:
         self._db = database
         self._annotations = annotations
         self._catalog = catalog
-        self._store = store
         self._lock = make_lock("engine.cost_stats")
         self._tables: dict[str, TableStats] = {}
-        self._loaded = False
         self._feedback_updates = 0
 
     # -- reads ---------------------------------------------------------
@@ -181,7 +125,6 @@ class CatalogStatistics:
         that matters most (table sizes dominate every estimate) while
         staying cheap — one COUNT(*) per table per session.
         """
-        self._ensure_loaded()
         with self._lock:
             stats = self._tables.get(table)
             if stats is not None:
@@ -199,7 +142,6 @@ class CatalogStatistics:
 
     def freshness(self) -> dict[str, Any]:
         """How current the registry is (exposed via statistics())."""
-        self._ensure_loaded()
         with self._lock:
             analyzed = [
                 stats.analyzed_at
@@ -209,12 +151,6 @@ class CatalogStatistics:
             return {
                 "tables_tracked": len(self._tables),
                 "tables_analyzed": len(analyzed),
-                "pending_changes": int(
-                    sum(
-                        stats.pending_changes
-                        for stats in self._tables.values()
-                    )
-                ),
                 "last_analyzed_at": max(analyzed) if analyzed else None,
                 "feedback_updates": self._feedback_updates,
             }
@@ -225,19 +161,16 @@ class CatalogStatistics:
         """Recollect statistics (one table, or all user tables).
 
         Runs COUNT(DISTINCT) per column plus the catalog/attachment
-        aggregates, replaces the in-memory entry, and persists the
-        result — the explicit refresh of the stats lifecycle.
+        aggregates and replaces the in-memory entry — the explicit
+        refresh of the stats lifecycle.
         """
         tables = [table] if table is not None else self._db.tables()
         now = time.time()
         refreshed: dict[str, dict[str, Any]] = {}
-        self._ensure_loaded()
         for name in tables:
             stats = self._collect(name, now)
             with self._lock:
                 self._tables[name] = stats
-            if self._store is not None:
-                self._store.replace_table(name, stats.to_stat_map())
             refreshed[name] = stats.summary()
         return refreshed
 
@@ -254,37 +187,6 @@ class CatalogStatistics:
         ).items():
             stats.summary_objects[instance] = (float(count), float(total))
         return stats
-
-    # -- incremental upkeep (ingest / maintenance hooks) ---------------
-
-    def on_rows_inserted(self, table: str, count: int = 1) -> None:
-        """Ingest hook: keep row counts current between ANALYZE runs."""
-        self._ensure_loaded()
-        with self._lock:
-            stats = self._tables.get(table)
-            if stats is None:
-                return  # never costed or analyzed — the seed will be fresh
-            stats.row_count += count
-            stats.pending_changes += count
-
-    def on_rows_deleted(self, table: str, count: int = 1) -> None:
-        self._ensure_loaded()
-        with self._lock:
-            stats = self._tables.get(table)
-            if stats is None:
-                return
-            stats.row_count = max(0.0, stats.row_count - count)
-            stats.pending_changes += count
-
-    def on_annotations_changed(self, table: str, delta: int) -> None:
-        """Annotation ingest/unlink hook (``delta`` may be negative)."""
-        self._ensure_loaded()
-        with self._lock:
-            stats = self._tables.get(table)
-            if stats is None:
-                return
-            stats.annotations = max(0.0, stats.annotations + delta)
-            stats.pending_changes += abs(delta)
 
     # -- execution feedback --------------------------------------------
 
@@ -306,7 +208,6 @@ class CatalogStatistics:
         if any(isinstance(node, lp.Limit) for node in lp.walk(root)):
             return  # an engine-side LIMIT may stop the scan early
         observed = float(stats.rows_scanned)
-        self._ensure_loaded()
         with self._lock:
             entry = self._tables.get(scan.table)
             if entry is None:
@@ -315,34 +216,6 @@ class CatalogStatistics:
             if entry.row_count != observed:
                 entry.row_count = observed
                 self._feedback_updates += 1
-
-    # -- internals -----------------------------------------------------
-
-    def _ensure_loaded(self) -> None:
-        """Load persisted stats once, lazily — called *before* taking
-        the lock, never under it (the store read is SQL; IN001/IN007
-        forbid holding ``engine.cost_stats`` across it).
-
-        Double-checked: racing callers may both read the store, but one
-        merge wins and loaded rows never clobber entries that appeared
-        in the meantime (a live counter bump is fresher than the
-        persisted snapshot it would overwrite).
-        """
-        with self._lock:
-            if self._loaded:
-                return
-            if self._store is None:
-                self._loaded = True
-                return
-        loaded = self._store.load_all()  # SQL — lock released
-        with self._lock:
-            if self._loaded:
-                return
-            self._loaded = True
-            for table, stat_map in loaded.items():
-                self._tables.setdefault(
-                    table, TableStats.from_stat_map(table, stat_map)
-                )
 
 
 @dataclass(frozen=True)

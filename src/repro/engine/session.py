@@ -45,7 +45,6 @@ from repro.model.cell import CellRef
 from repro.storage.annotations import AnnotationDraft, AnnotationStore
 from repro.storage.catalog import SummaryCatalog
 from repro.storage.database import Database
-from repro.storage.planner_stats import PlannerStatsStore
 from repro.summaries.base import SummaryInstance
 from repro.summaries.registry import SummaryTypeRegistry
 from repro.zoomin.command import ZoomInCommand
@@ -125,10 +124,7 @@ class InsightNotes:
         self.annotations = AnnotationStore(self.db)
         self.catalog = SummaryCatalog(self.db, registry=registry)
         self.manager = SummaryManager(self.db, self.annotations, self.catalog)
-        self.stats_store = PlannerStatsStore(self.db)
-        self.stats_registry = CatalogStatistics(
-            self.db, self.annotations, self.catalog, store=self.stats_store
-        )
+        self.stats_registry = CatalogStatistics(self.db, self.annotations, self.catalog)
         self.planner = Planner(
             self.db,
             self.annotations,
@@ -192,15 +188,11 @@ class InsightNotes:
         self, table: str, values: Sequence[Any] | Mapping[str, Any]
     ) -> int:
         """Insert one row; returns its row id."""
-        row_id = self.db.insert(table, values)
-        self.stats_registry.on_rows_inserted(table)
-        return row_id
+        return self.db.insert(table, values)
 
     def insert_many(self, table: str, rows: Sequence[Sequence[Any]]) -> list[int]:
         """Insert several rows; returns their row ids."""
-        row_ids = self.db.insert_many(table, rows)
-        self.stats_registry.on_rows_inserted(table, len(row_ids))
-        return row_ids
+        return self.db.insert_many(table, rows)
 
     def delete_row(self, table: str, row_id: int) -> None:
         """Delete a base row, cascading through annotations and summaries.
@@ -209,7 +201,6 @@ class InsightNotes:
         annotations also covering other rows are detached here and keep
         their effect elsewhere.  The row's summary objects are dropped.
         """
-        detached = 0
         for annotation_id in sorted(
             self.annotations.annotation_ids_for_row(table, row_id)
         ):
@@ -218,12 +209,8 @@ class InsightNotes:
                 self.annotations.delete(annotation_id)
             else:
                 self.annotations.detach_row(annotation_id, table, row_id)
-            detached += 1
         self.manager.on_row_deleted(table, row_id)
         self.db.delete_row(table, row_id)
-        self.stats_registry.on_rows_deleted(table)
-        if detached:
-            self.stats_registry.on_annotations_changed(table, -detached)
 
     # -- annotations -----------------------------------------------------
 
@@ -314,8 +301,8 @@ class InsightNotes:
         the affected summaries through
         :meth:`~repro.maintenance.incremental.SummaryManager.add_annotations`
         — instances resolved once per table, summary objects bulk-loaded,
-        each annotation analyzed at most once per instance, and one
-        bulk write-back.  The resulting summary state is identical to
+        each annotation analyzed once per instance for the whole batch,
+        and one bulk write-back.  The resulting summary state is identical to
         adding the annotations one by one in spec order.
 
         Returns the stored annotations, in spec order.  Raises
@@ -359,20 +346,11 @@ class InsightNotes:
             return []
         stored = self.annotations.add_many(drafts)
         self.manager.add_annotations(list(zip(stored, cell_lists)))
-        per_table: dict[str, int] = {}
-        for cells in cell_lists:
-            for cell in cells:
-                per_table[cell.table] = per_table.get(cell.table, 0) + 1
-        for table, delta in per_table.items():
-            self.stats_registry.on_annotations_changed(table, delta)
         return stored
 
     def delete_annotation(self, annotation_id: int) -> None:
         """Remove an annotation, updating all affected summaries."""
         cells = self.annotations.cells_of(annotation_id)
-        per_table: dict[str, int] = {}
-        for cell in cells:
-            per_table[cell.table] = per_table.get(cell.table, 0) + 1
         self.manager.on_annotation_deleted(annotation_id)
         self.annotations.delete(annotation_id)
         # A read between the summary update and the store delete may
@@ -380,8 +358,6 @@ class InsightNotes:
         self.manager.invalidate_attachments(
             {(cell.table, cell.row_id) for cell in cells}
         )
-        for table, count in per_table.items():
-            self.stats_registry.on_annotations_changed(table, -count)
 
     def update_annotation(
         self,
@@ -468,13 +444,12 @@ class InsightNotes:
 
         The extra examples shift the model's predictions, so every stored
         summary object of the instance is rebuilt from the raw
-        annotations and the summarize-once cache for the instance is
-        invalidated — stale labels never linger.
+        annotations — stale labels never linger.  Later writes analyze
+        with the retrained model: no contribution outlives its batch.
         """
         instance = self.catalog.get_instance(instance_name)
         instance.train(list(examples))  # type: ignore[attr-defined]
         self.catalog.save_instance_config(instance_name)
-        self.manager.contributions.invalidate_instance(instance_name)
         self.rebuild_summaries(instance_name=instance_name)
 
     def link(self, instance_name: str, table: str) -> None:
@@ -644,13 +619,13 @@ class InsightNotes:
         return build_explanation(prepared, self.planner.cost_model)
 
     def analyze(self, table: str | None = None) -> dict[str, Any]:
-        """Refresh planner statistics, persisting them in the catalog.
+        """Refresh the planner statistics that price :meth:`explain`.
 
         Recomputes row counts, per-column distinct-value estimates,
         annotation volume, and per-instance summary-object cardinality
-        and size for ``table`` (or every base table), storing the result
-        in the ``planner_stats`` system table so later sessions start
-        warm.  Returns a per-table digest of what was gathered.
+        and size for ``table`` (or every base table), in memory for this
+        session only — nothing is persisted, and no plan depends on the
+        numbers.  Returns a per-table digest of what was gathered.
         """
         return self.stats_registry.analyze(table)
 
@@ -678,10 +653,9 @@ class InsightNotes:
         """A snapshot of the session's operational counters.
 
         Groups the numbers an operator would watch: data volumes,
-        maintenance activity (incl. the summarize-once cache), and
-        zoom-in cache behaviour.
+        maintenance activity (incl. summarize-once reuse), and zoom-in
+        cache behaviour.
         """
-        contribution_stats = self.manager.contributions.stats
         return {
             "shards": self.db.shard_count,
             "shard_pools": self.db.backend.counters(),
@@ -694,12 +668,7 @@ class InsightNotes:
             "summary_state_bytes": self.catalog.summary_bytes(),
             "object_cache": self.manager.cache_info(),
             "maintenance": self.manager.stats.as_dict(),
-            "summarize_once": {
-                "hits": contribution_stats.hits,
-                "misses": contribution_stats.misses,
-                "bypasses": contribution_stats.bypasses,
-                "hit_ratio": contribution_stats.hit_ratio,
-            },
+            "summarize_once": self.manager.stats.summarize_once(),
             "queries_registered": len(self.results),
             "planner": {"stats": self.stats_registry.freshness()},
             "zoomin": self.cache.stats_json(),

@@ -6,8 +6,8 @@ an annotation is inserted it:
 1. groups the annotation's attached cells by base row,
 2. for every summary instance linked to an affected table, loads (or
    creates) the row's summary object,
-3. obtains the annotation's contribution — through the summarize-once
-   cache when the instance's invariant properties allow — and folds it in,
+3. analyzes the annotation once per instance and folds that contribution
+   into every affected object,
 4. persists the updated object (write-through by default; deferrable for
    bulk loads).
 
@@ -15,7 +15,7 @@ an annotation is inserted it:
 contract — the ingest mirror of the scan pipeline's block prefetch.  A
 whole batch is grouped by (table, row) up front, linked instances are
 resolved once per table, touched objects are bulk-loaded through the
-catalog's block reader, contributions are computed at most once per
+catalog's block reader, contributions are computed once per
 (instance, annotation) batch-wide, folding goes through the summary
 types' ``fold_many`` hooks, and the write-back is a single
 ``executemany`` transaction.
@@ -33,7 +33,7 @@ deletes.
 
 The manager is shared across concurrent queries.  One re-entrant lock
 guards every piece of mutable state (object cache, dirty set,
-attachments LRU, stats, contribution memo): write paths hold it end to
+attachments LRU, stats): write paths hold it end to
 end — they are serialized anyway by the storage layer's single-writer
 lock — while the read paths (:meth:`objects_for_rows`,
 :meth:`attachments_for_rows`) probe the caches under the lock, run SQL
@@ -54,7 +54,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.concurrency import InvalidationStamps, make_rlock
-from repro.maintenance.invariants import ContributionCache
 from repro.model.annotation import Annotation
 from repro.model.cell import CellRef
 from repro.storage.annotations import AnnotationStore
@@ -72,10 +71,11 @@ class MaintenanceStats:
     folded many times between flushes in deferred mode counts once, when
     it actually reaches storage.  The batch counters describe the bulk
     ingestion path: ``batches`` / ``batch_rows`` give the ingest shape
-    (``rows_per_batch`` in :meth:`as_dict` is their ratio), and
-    ``folds_saved`` counts contribution analyses the batch skipped
-    because the same annotation had already been analyzed for another
-    tuple — the summarize-once guarantee applied batch-wide.
+    (``rows_per_batch`` in :meth:`as_dict` is their ratio).
+    ``analyze_calls`` counts contribution analyses and ``folds_saved``
+    the applications that reused a contribution analyzed earlier in the
+    same batch because the annotation covers another tuple — the
+    summarize-once guarantee applied batch-wide (:meth:`summarize_once`).
     """
 
     annotations_processed: int = 0
@@ -84,6 +84,7 @@ class MaintenanceStats:
     batches: int = 0
     batch_rows: int = 0
     folds_saved: int = 0
+    analyze_calls: int = 0
 
     @property
     def rows_per_batch(self) -> float:
@@ -100,6 +101,17 @@ class MaintenanceStats:
             "batch_rows": self.batch_rows,
             "rows_per_batch": round(self.rows_per_batch, 3),
             "folds_saved": self.folds_saved,
+            "analyze_calls": self.analyze_calls,
+        }
+
+    def summarize_once(self) -> dict[str, int | float]:
+        """Contribution reuse: ``hits`` are applications that reused a
+        batch contribution, ``misses`` are ``analyze`` calls."""
+        total = self.folds_saved + self.analyze_calls
+        return {
+            "hits": self.folds_saved,
+            "misses": self.analyze_calls,
+            "hit_ratio": self.folds_saved / total if total else 0.0,
         }
 
 
@@ -148,7 +160,6 @@ class SummaryManager:
         self._annotations = annotations
         self._catalog = catalog
         self.write_through = write_through
-        self.contributions = ContributionCache()
         self.stats = MaintenanceStats()
         # Re-entrant: flush() runs inside add_annotations' locked region.
         # guards_io: the write-through path intentionally persists
@@ -381,16 +392,21 @@ class SummaryManager:
             for cell in cells:
                 rows.setdefault((cell.table, cell.row_id), None)
             updated = 0
+            # instance name -> this call's one analysis of the annotation
+            contributions: dict[str, object] = {}
             for table, row_id in rows:
                 self._invalidate_attachments(table, row_id)
                 for instance in self._catalog.instances_for_table(table):
                     obj = self._get_object(instance, table, row_id)
                     if annotation.annotation_id in obj.annotation_ids():
                         continue  # idempotent replay
-                    contribution = self.contributions.analyze(instance, annotation)
-                    instance.add_to(obj, annotation, contribution)
+                    if instance.name not in contributions:
+                        contributions[instance.name] = instance.analyze(annotation)
+                    instance.add_to(obj, annotation, contributions[instance.name])
                     self._mark_updated((instance.name, table, row_id), obj)
                     updated += 1
+            self.stats.analyze_calls += len(contributions)
+            self.stats.folds_saved += updated - len(contributions)
             return updated
 
     def add_annotations(
@@ -402,13 +418,13 @@ class SummaryManager:
         engine's ingest hot path.  Per affected table it resolves the
         linked instances **once**, bulk-loads every touched summary
         object through the catalog's block reader, analyzes each
-        annotation at most once per instance (batch-wide summarize-once),
-        folds per-object through the types' :meth:`fold_many` hooks, and
-        persists all updated objects with one ``executemany``
-        transaction.  Internally the batch always runs in deferred-write
-        mode; with :attr:`write_through` enabled the deferred updates are
-        flushed before returning, so callers observe the same durability
-        as the single-annotation path.
+        annotation once per instance for the whole batch, across tables
+        (batch-wide summarize-once), folds per-object through the types'
+        :meth:`fold_many` hooks, and persists all updated objects with
+        one ``executemany`` transaction.  Internally the batch always
+        runs in deferred-write mode; with :attr:`write_through` enabled
+        the deferred updates are flushed before returning, so callers
+        observe the same durability as the single-annotation path.
 
         Returns the number of summary objects that received new
         contributions.  Folding order matches a loop of single adds, so
@@ -434,6 +450,11 @@ class SummaryManager:
                     by_table.setdefault(cell.table, {}).setdefault(
                         cell.row_id, []
                     ).append(annotation)
+            # instance name -> annotation id -> contribution, for the whole
+            # batch: every built-in ``analyze`` reads only the annotation, so
+            # one covering rows of several tables is still analyzed once.
+            contributions: dict[str, dict[int, object]] = {}
+            applications = 0
             updated = 0
             for table in sorted(by_table):
                 row_map = by_table[table]
@@ -456,23 +477,20 @@ class SummaryManager:
                     if missing_rows
                     else {}
                 )
-                # One contribution per (instance, annotation) for the whole
-                # table group, however many rows the annotation covers.
                 unique: dict[int, Annotation] = {}
                 for annotations in row_map.values():
+                    applications += len(annotations) * len(instances)
                     for annotation in annotations:
                         unique.setdefault(annotation.annotation_id, annotation)
-                applications = sum(len(v) for v in row_map.values())
-                contributions: dict[str, dict[int, object]] = {
-                    instance.name: self.contributions.analyze_many(
-                        instance, unique.values()
-                    )
-                    for instance in instances
-                }
-                self.stats.folds_saved += (applications - len(unique)) * len(instances)
+                for instance in instances:
+                    memo = contributions.setdefault(instance.name, {})
+                    for annotation_id, annotation in unique.items():
+                        if annotation_id not in memo:
+                            memo[annotation_id] = instance.analyze(annotation)
                 for row_id in sorted(row_map):
                     annotations = row_map[row_id]
                     for instance in instances:
+                        memo = contributions[instance.name]
                         key = (instance.name, table, row_id)
                         cached, obj = self._probe(key)
                         if not cached:
@@ -481,18 +499,16 @@ class SummaryManager:
                         folded = obj.fold_many(
                             instance,
                             [
-                                (
-                                    annotation,
-                                    contributions[instance.name][
-                                        annotation.annotation_id
-                                    ],
-                                )
+                                (annotation, memo[annotation.annotation_id])
                                 for annotation in annotations
                             ],
                         )
                         if folded:
                             self._dirty.add(key)
                             updated += 1
+            analyzed = sum(len(memo) for memo in contributions.values())
+            self.stats.analyze_calls += analyzed
+            self.stats.folds_saved += applications - analyzed
             if self.write_through:
                 self.flush()
             self._evict_if_needed()
@@ -507,7 +523,6 @@ class SummaryManager:
         """
         affected = self._annotations.rows_for_annotation(annotation_id)
         with self._lock:
-            self.contributions.invalidate(annotation_id)
             updated = 0
             for table, row_id in sorted(affected):
                 self._invalidate_attachments(table, row_id)

@@ -92,9 +92,12 @@ class InstanceProperties:
         True when the summarization does not depend on *t*'s attribute
         values.
 
-    When both are true the system summarizes an annotation **once**, even
-    when it is attached to many tuples (the summarize-once optimization of
-    §2.3), and reuses the cached result everywhere.
+    The properties are declared, persisted and displayed metadata
+    (§2.3); maintenance does not read them.  Every instance's
+    :meth:`SummaryInstance.analyze` depends on the annotation alone, so
+    the write path analyzes an annotation once per instance per batch,
+    however many tuples it is attached to, and ``add_to`` does the
+    tuple-dependent part.
     """
 
     annotation_invariant: bool = True
@@ -103,7 +106,7 @@ class InstanceProperties:
 
     @property
     def summarize_once(self) -> bool:
-        """Whether analyze results may be cached per annotation id."""
+        """Whether the paper's summarize-once condition holds (both flags)."""
         return self.annotation_invariant and self.data_invariant
 
 
@@ -350,7 +353,11 @@ class SummaryInstance(abc.ABC):
 
     @abc.abstractmethod
     def analyze(self, annotation: Annotation) -> Any:
-        """Compute the reusable, annotation-only part of the summary."""
+        """Compute the reusable, annotation-only part of the summary.
+
+        Must depend on ``annotation`` alone: maintenance analyzes it once
+        per batch and folds the result into every tuple it covers.
+        """
 
     @abc.abstractmethod
     def add_to(

@@ -10,8 +10,9 @@ incoming annotation is embedded as a normalized term vector and assigned to
 the existing group whose centroid is most similar, provided the cosine
 similarity reaches the instance's ``threshold``; otherwise it seeds a new
 group.  Clustering is therefore **not** annotation-invariant — assignment
-depends on the groups already formed on the tuple — so the summarize-once
-optimization does not apply (only the vector computation is reused).
+depends on the groups already formed on the tuple — so only the vector
+computation (``analyze``) is shared across the tuples an annotation
+covers; the assignment runs per tuple.
 
 Each group's state is split in two:
 

@@ -2,9 +2,8 @@
 
 Covers the surfaces of DESIGN.md §13:
 
-* catalog statistics — ``analyze()`` collection, persistence in the
-  ``planner_stats`` table across sessions, incremental staleness
-  tracking, and execution feedback;
+* catalog statistics — ``analyze()`` collection into memory and
+  execution feedback (nothing is persisted, no write path updates them);
 * the cost model — stats-driven cardinality estimates, which price
   plans and decide nothing: planning never calls it;
 * the rules — joins in FROM order, storage-side aggregation pushdown
@@ -12,16 +11,18 @@ Covers the surfaces of DESIGN.md §13:
   like the un-rewritten plan under raw propagation
   (:mod:`tests.raw_oracle`);
 * EXPLAIN — the costed text rendering and its ``to_json`` form;
-* staleness — plans stay valid when ``planner_stats`` is empty, stale,
-  or describes tables that no longer exist.
+* staleness — plans stay valid with no or stale statistics, and a file
+  that still holds the ``_in_planner_stats`` table older releases wrote
+  opens, queries and explains.
 """
 
+import sqlite3
+
 from repro.engine import plan as lp
-from repro.engine.cost import CostModel, TableStats
+from repro.engine.cost import CostModel
 from repro.engine.explain import Explanation
 from repro.engine.session import InsightNotes
 from repro.engine.sqlparser import build_logical, parse_sql
-from repro.storage.planner_stats import PlannerStatsStore
 from tests.raw_oracle import RawOracle
 
 
@@ -84,36 +85,15 @@ class TestCatalogStatistics:
             # Whole-row annotations on 4 suppliers, 2 columns each.
             assert digest["annotations"] == 8
 
-    def test_stats_persist_across_sessions(self, tmp_path):
-        path = str(tmp_path / "stats.db")
-        with InsightNotes(path) as notes:
-            notes.create_table("t", ["a", "b"])
-            notes.insert_many("t", [(i, i % 3) for i in range(9)])
-            notes.analyze()
-        with InsightNotes(path) as reopened:
-            stats = reopened.stats_registry.table_stats("t")
-            assert stats is not None
-            assert stats.row_count == 9
-            assert stats.analyzed_at is not None
-            assert stats.column_ndv("b") == 3
-
-    def test_ingest_bumps_pending_changes(self):
-        with make_star_session() as notes:
-            notes.insert("orders", ("s1", "p1", 5))
-            freshness = notes.statistics()["planner"]["stats"]
-            assert freshness["pending_changes"] >= 1
-            notes.analyze()
-            freshness = notes.statistics()["planner"]["stats"]
-            assert freshness["pending_changes"] == 0
-
     def test_row_count_tracks_incremental_changes(self):
+        # No write path updates the registry: an insert shows up once the
+        # next full scan feeds the true count back.
         with make_star_session() as notes:
-            stats = notes.stats_registry.table_stats("orders")
-            assert stats.row_count == 60
+            assert notes.stats_registry.table_stats("orders").row_count == 60
             notes.insert("orders", ("s0", "p0", 1))
-            assert (
-                notes.stats_registry.table_stats("orders").row_count == 61
-            )
+            assert notes.stats_registry.table_stats("orders").row_count == 60
+            notes.query("SELECT qty FROM orders")
+            assert notes.stats_registry.table_stats("orders").row_count == 61
 
     def test_execution_feedback_updates_row_count(self):
         with InsightNotes() as notes:
@@ -126,28 +106,6 @@ class TestCatalogStatistics:
             assert stats.row_count == 7
             freshness = notes.statistics()["planner"]["stats"]
             assert freshness["feedback_updates"] >= 1
-
-    def test_stats_store_round_trip(self):
-        with InsightNotes() as notes:
-            store = PlannerStatsStore(notes.db)
-            store.replace_table("t", {"row_count": 4.0, "ndv:a": 2.0})
-            assert store.load_table("t") == {"row_count": 4.0, "ndv:a": 2.0}
-            store.replace_table("t", {"row_count": 5.0})
-            assert store.load_table("t") == {"row_count": 5.0}
-            store.delete_table("t")
-            assert store.load_table("t") == {}
-
-    def test_table_stats_round_trip_through_stat_map(self):
-        stats = TableStats(
-            table="t",
-            row_count=10.0,
-            ndv={"a": 3.0},
-            summary_objects={"C": (5.0, 800.0)},
-            annotations=20.0,
-            analyzed_at=123.0,
-        )
-        revived = TableStats.from_stat_map("t", stats.to_stat_map())
-        assert revived == stats
 
 
 class TestCostModel:
@@ -457,11 +415,24 @@ class TestStaleness:
         with InsightNotes(path) as notes:
             notes.create_table("t", ["v"])
             notes.insert("t", (1,))
-            notes.analyze()
-        with InsightNotes(path) as reopened:
-            # Simulate a table dropped out-of-band: stats linger but
-            # queries against live tables must be unaffected.
-            reopened.stats_store.replace_table(
-                "ghost", {"row_count": 1e9}
+            fresh_explain = str(notes.explain("SELECT v FROM t"))
+        # Older releases persisted statistics in this table, here with
+        # rows for ``t`` and for a table dropped out-of-band.
+        legacy = sqlite3.connect(path)
+        with legacy:
+            legacy.execute(
+                "CREATE TABLE _in_planner_stats (table_name TEXT NOT NULL, "
+                "stat_key TEXT NOT NULL, stat_value REAL NOT NULL, "
+                "PRIMARY KEY (table_name, stat_key))"
             )
+            legacy.executemany(
+                "INSERT INTO _in_planner_stats VALUES (?, ?, ?)",
+                [("t", "row_count", 5e6), ("ghost", "row_count", 1e9)],
+            )
+        legacy.close()
+        with InsightNotes(path) as reopened:
+            assert reopened.db.tables() == ["t"]
             assert reopened.query("SELECT v FROM t").rows() == [(1,)]
+            # The stale rows are never read: estimates come from the live
+            # table, exactly as on a file without them.
+            assert str(reopened.explain("SELECT v FROM t")) == fresh_explain

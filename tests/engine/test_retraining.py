@@ -45,20 +45,6 @@ class TestRetrainClassifier:
             "pelagic foraging sighted offshore"
         ) == "Behavior"
 
-    def test_retrain_invalidates_contribution_cache(self, stack):
-        # Prime the summarize-once cache with the stale label.
-        annotation = stack.annotations.get(1)
-        stack.manager.contributions.analyze(
-            stack.catalog.get_instance("C"), annotation
-        )
-        stack.retrain_classifier(
-            "C", [("pelagic foraging sighted at sea", "Behavior")] * 4
-        )
-        fresh = stack.manager.contributions.analyze(
-            stack.catalog.get_instance("C"), annotation
-        )
-        assert fresh == "Behavior"
-
     def test_new_annotations_use_new_model(self, stack):
         stack.retrain_classifier(
             "C", [("pelagic foraging sighted at sea", "Behavior")] * 4
