@@ -45,6 +45,22 @@ class TestRetrainClassifier:
             "pelagic foraging sighted offshore"
         ) == "Behavior"
 
+    def test_retrain_invalidates_contribution_cache(self, stack):
+        # No contribution outlives its batch: the live instance analyzes
+        # with the retrained model, and rewriting the annotation folds the
+        # new label, not the one computed before retraining.
+        annotation = stack.annotations.get(1)
+        assert stack.catalog.get_instance("C").analyze(annotation) == "Disease"
+        stack.retrain_classifier(
+            "C", [("pelagic foraging sighted at sea", "Behavior")] * 4
+        )
+        fresh = stack.catalog.get_instance("C").analyze(annotation)
+        assert fresh == "Behavior"
+        stack.update_annotation(1, text=annotation.text)
+        obj = stack.manager.current_object("C", "t", 1)
+        assert obj.count("Behavior") == 1
+        assert obj.count("Disease") == 0
+
     def test_new_annotations_use_new_model(self, stack):
         stack.retrain_classifier(
             "C", [("pelagic foraging sighted at sea", "Behavior")] * 4
