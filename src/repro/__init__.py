@@ -13,10 +13,14 @@ Start with :class:`~repro.engine.session.InsightNotes`:
 >>> notes = InsightNotes()
 """
 
-from repro.engine.session import InsightNotes
+from typing import TYPE_CHECKING, Any
+
 from repro.errors import InsightNotesError
 from repro.model.annotation import Annotation, AnnotationKind
 from repro.model.cell import CellRef
+
+if TYPE_CHECKING:
+    from repro.engine.session import InsightNotes
 
 __version__ = "1.0.0"
 
@@ -28,3 +32,14 @@ __all__ = [
     "InsightNotesError",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # The session is imported on first use, so importing a light
+    # subpackage (``repro.analysis.sanitizer`` before the engine builds
+    # its locks) does not drag the whole engine in.
+    if name == "InsightNotes":
+        from repro.engine.session import InsightNotes
+
+        return InsightNotes
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

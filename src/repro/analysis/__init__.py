@@ -1,32 +1,7 @@
-"""Analysis helpers on top of summary state.
+"""Checks of the engine's invariants.
 
-The point of summarizing annotations is to *act* on them; this package
-provides the table-level analyses a curation team runs directly over the
-summary objects — never over the raw text:
-
-* :func:`~repro.analysis.reports.contested_rows` — rows where one
-  classifier label outweighs another (refute vs. approve triage);
-* :func:`~repro.analysis.reports.annotation_coverage` — per-row
-  annotation counts and the silent (never-annotated) rows;
-* :func:`~repro.analysis.reports.label_distribution` — a classifier
-  instance's label histogram across a whole relation;
-* :func:`~repro.analysis.reports.hot_rows` — the most-annotated rows.
+* :mod:`repro.analysis.lint` — insightlint, the static checker of the
+  concurrency, SQL-safety and summary-value disciplines (DESIGN.md §10);
+* :mod:`repro.analysis.sanitizer` — insightsan, the runtime lock-order
+  and blocking-under-lock checker (DESIGN.md §15).
 """
-
-from repro.analysis.reports import (
-    ContestedRow,
-    CoverageReport,
-    annotation_coverage,
-    contested_rows,
-    hot_rows,
-    label_distribution,
-)
-
-__all__ = [
-    "ContestedRow",
-    "CoverageReport",
-    "annotation_coverage",
-    "contested_rows",
-    "hot_rows",
-    "label_distribution",
-]

@@ -3,15 +3,14 @@
 The concurrency, SQL-safety, and summary-value conventions that keep the
 engine correct (DESIGN.md §6–§9) are enforced mechanically here instead
 of by reviewers re-deriving them per diff.  See DESIGN.md §10 for the
-rule catalogue and the suppression/baseline workflow.
+rule catalogue and the suppression syntax.
 
-Public API: :func:`lint_source` (hermetic, for tests),
-:func:`run_lint` + :class:`Baseline` (the CLI driver), :func:`all_rules`.
+Public API: :func:`lint_source` (hermetic, for tests), :func:`run_lint`
+(the CLI driver), :func:`all_rules`.
 """
 
 from repro.analysis.lint.framework import (
     ALL_RULES,
-    Baseline,
     Finding,
     LintReport,
     ModuleSource,
@@ -24,7 +23,6 @@ from repro.analysis.lint.framework import (
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "LintReport",
     "ModuleSource",

@@ -4,41 +4,23 @@ Usage::
 
     PYTHONPATH=src python -m repro.analysis.lint [paths...]
         [--format text|json] [--output PATH]
-        [--baseline] [--baseline-file PATH] [--fix-baseline]
-        [--rules IN001,IN007] [--changed-only] [--jobs N]
-        [--list-rules]
+        [--rules IN001,IN007] [--list-rules]
 
-Exit status is 0 when no fresh error-severity finding remains, 1
-otherwise, and 2 for usage errors (bad baseline file, unknown rule).
-``--baseline`` filters findings through the committed baseline file
-(grandfathered debt); ``--fix-baseline`` *merges* the current findings
-into that file — entries for linted paths are rebuilt (shrinking when
-violations were fixed) and entries for paths outside this run are
-preserved.  ``--changed-only`` reports findings only for files changed
-versus the merge-base with the default branch (plus untracked files),
-while still parsing the whole path set so the interprocedural rules
-keep their project-wide view.  ``--format json`` emits a
-machine-readable report — CI uploads it as an artifact — while
-``--output`` writes the report to a file and keeps the human summary on
-stdout.
+Exit status is 0 when no unsuppressed error-severity finding remains, 1
+otherwise, and 2 for usage errors (missing path, unknown rule).
+``--format json`` emits a machine-readable report — CI uploads it as an
+artifact — while ``--output`` writes the report to a file and keeps the
+human summary on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.lint.framework import (
-    Baseline,
-    LintReport,
-    all_rules,
-    run_lint,
-)
-
-DEFAULT_BASELINE_FILE = "lint-baseline.json"
+from repro.analysis.lint.framework import LintReport, all_rules, run_lint
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,40 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(a one-line summary still prints)",
     )
     parser.add_argument(
-        "--baseline",
-        action="store_true",
-        help="filter findings through the committed baseline file",
-    )
-    parser.add_argument(
-        "--baseline-file",
-        type=Path,
-        default=Path(DEFAULT_BASELINE_FILE),
-        help=f"baseline location (default: {DEFAULT_BASELINE_FILE})",
-    )
-    parser.add_argument(
-        "--fix-baseline",
-        action="store_true",
-        help="merge the current findings into the baseline file "
-        "(linted paths rebuilt, other paths preserved)",
-    )
-    parser.add_argument(
         "--rules",
         default=None,
         metavar="IDS",
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report findings only for files changed vs the merge-base "
-        "with the default branch (the whole tree is still analyzed)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="parallel parse workers (default: min(8, files))",
     )
     parser.add_argument(
         "--list-rules",
@@ -107,42 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the registered rules and exit",
     )
     return parser
-
-
-def _git_lines(root: Path, *argv: str) -> list[str]:
-    proc = subprocess.run(
-        ["git", *argv],
-        cwd=root,
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    if proc.returncode != 0:
-        return []
-    return [line.strip() for line in proc.stdout.splitlines() if line.strip()]
-
-
-def changed_paths(root: Path | None = None) -> set[str]:
-    """Repo-relative ``.py`` paths changed versus the default branch.
-
-    The changed set is the union of the diff against the merge-base
-    with ``origin/main`` (falling back to ``main``, then to ``HEAD``
-    when no default branch exists — i.e. just the working tree) and any
-    untracked, non-ignored files.  Everything still gets *parsed* by
-    ``--changed-only`` runs; this set only narrows what is reported.
-    """
-    base = root or Path.cwd()
-    merge_base: str | None = None
-    for ref in ("origin/main", "origin/master", "main", "master"):
-        lines = _git_lines(base, "merge-base", "HEAD", ref)
-        if lines:
-            merge_base = lines[0]
-            break
-    diff_args = ["diff", "--name-only"]
-    diff_args.append(merge_base if merge_base else "HEAD")
-    changed = set(_git_lines(base, *diff_args))
-    changed.update(_git_lines(base, "ls-files", "--others", "--exclude-standard"))
-    return {path for path in changed if path.endswith(".py")}
 
 
 def _render_text(report: LintReport) -> str:
@@ -162,7 +78,6 @@ def _render_json(report: LintReport) -> str:
         "summary": {
             "files_checked": report.files_checked,
             "findings": len(report.findings) + len(report.parse_errors),
-            "grandfathered": len(report.grandfathered),
             "suppressed": report.suppressed,
             "failed": report.failed,
         },
@@ -175,8 +90,7 @@ def _summary_line(report: LintReport) -> str:
     return (
         f"insightlint: {total} finding(s) across "
         f"{report.files_checked} file(s) "
-        f"({len(report.grandfathered)} baselined, "
-        f"{report.suppressed} suppressed)"
+        f"({report.suppressed} suppressed)"
     )
 
 
@@ -202,42 +116,8 @@ def main(argv: list[str] | None = None) -> int:
             if rule_id.strip()
         ]
 
-    report_paths: set[str] | None = None
-    if args.changed_only:
-        report_paths = changed_paths()
-
-    baseline: Baseline | None = None
-    if args.baseline or args.fix_baseline:
-        try:
-            baseline = Baseline.load(args.baseline_file)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"insightlint: bad baseline file: {exc}", file=sys.stderr)
-            return 2
-
-    if args.fix_baseline:
-        try:
-            report = run_lint(paths, baseline=None, rule_ids=rule_ids, jobs=args.jobs)
-        except ValueError as exc:
-            print(f"insightlint: {exc}", file=sys.stderr)
-            return 2
-        assert baseline is not None
-        merged = baseline.merged_with(report.findings, report.checked_paths)
-        merged.save(args.baseline_file)
-        print(
-            f"insightlint: wrote {len(merged.entries)} baseline entr"
-            f"{'y' if len(merged.entries) == 1 else 'ies'} to "
-            f"{args.baseline_file}"
-        )
-        return 0
-
     try:
-        report = run_lint(
-            paths,
-            baseline=baseline if args.baseline else None,
-            rule_ids=rule_ids,
-            report_paths=report_paths,
-            jobs=args.jobs,
-        )
+        report = run_lint(paths, rule_ids=rule_ids)
     except ValueError as exc:
         print(f"insightlint: {exc}", file=sys.stderr)
         return 2

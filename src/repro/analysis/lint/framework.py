@@ -1,4 +1,4 @@
-"""The insightlint core: findings, rule registry, suppression, baseline.
+"""The insightlint core: findings, rule registry, suppression.
 
 The engine's correctness under concurrency rests on conventions that no
 general-purpose linter knows about — probe-under-lock / SQL-outside-lock,
@@ -15,8 +15,6 @@ Layout
 * :class:`Rule` — the rule contract; concrete rules live in
   :mod:`repro.analysis.lint.rules` and self-register via :func:`register`;
 * :class:`ModuleSource` — a parsed module plus its per-line suppressions;
-* :class:`Baseline` — grandfathered findings, keyed ``rule::path`` with a
-  count (line numbers churn too much to key on);
 * :func:`run_lint` — the driver the CLI and the tests share.
 
 Suppression
@@ -27,8 +25,8 @@ A trailing comment silences specific rules on that line::
 
 A comment alone on a line applies to the *next* line.  ``disable`` with
 no rule list silences every rule.  Suppressions are for sites where the
-invariant provably holds but the lexical analysis cannot see it; the
-baseline is for grandfathered debt that should shrink, never grow.
+invariant provably holds but the lexical analysis cannot see it; every
+other finding fails the run.
 """
 
 from __future__ import annotations
@@ -36,12 +34,9 @@ from __future__ import annotations
 import abc
 import ast
 import io
-import json
 import tokenize
-from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar
 
@@ -62,10 +57,6 @@ class Finding:
     rule: str
     severity: str
     message: str
-
-    def key(self) -> str:
-        """The baseline key — stable across unrelated line churn."""
-        return f"{self.rule}::{self.path}"
 
     def to_json(self) -> dict[str, object]:
         """Plain-dict view for the ``--format json`` report."""
@@ -233,97 +224,6 @@ def dotted_name(node: ast.AST) -> str | None:
     return None
 
 
-# -- baseline ----------------------------------------------------------
-
-
-class Baseline:
-    """Grandfathered findings: ``rule::path`` keys with allowed counts.
-
-    The format deliberately omits line numbers so unrelated edits do not
-    invalidate entries; a file either still carries N grandfathered
-    violations of a rule or it does not.  ``apply`` consumes allowances
-    first-come (file order), so newly added violations in a baselined
-    file still surface once the allowance is spent.
-    """
-
-    VERSION = 1
-
-    def __init__(self, entries: dict[str, int] | None = None) -> None:
-        self.entries = dict(entries or {})
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        """Read a baseline file; a missing file is an empty baseline."""
-        if not path.exists():
-            return cls()
-        data = json.loads(path.read_text())
-        if data.get("version") != cls.VERSION:
-            raise ValueError(
-                f"unsupported baseline version {data.get('version')!r} "
-                f"in {path} (expected {cls.VERSION})"
-            )
-        entries = data.get("entries", {})
-        if not isinstance(entries, dict) or not all(
-            isinstance(count, int) and count > 0 for count in entries.values()
-        ):
-            raise ValueError(f"malformed baseline entries in {path}")
-        return cls(entries)
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        """A baseline grandfathering exactly the given findings."""
-        entries: dict[str, int] = {}
-        for finding in findings:
-            entries[finding.key()] = entries.get(finding.key(), 0) + 1
-        return cls(entries)
-
-    def save(self, path: Path) -> None:
-        """Write the baseline file (sorted keys, stable diffs)."""
-        payload = {
-            "version": self.VERSION,
-            "entries": dict(sorted(self.entries.items())),
-        }
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    def merged_with(
-        self, findings: Iterable[Finding], linted_paths: Iterable[str]
-    ) -> "Baseline":
-        """A new baseline with linted paths rebuilt from ``findings``.
-
-        Entries whose path was linted are replaced by the observed
-        counts — so allowances *shrink* (or vanish) when violations are
-        fixed — while entries for paths outside the linted set are
-        preserved untouched.  This is the ``--fix-baseline`` semantics:
-        refreshing from a subset of the tree must never wipe other
-        files' grandfathered debt, and fixing a violation must never
-        leave a stale allowance behind for the next regression to hide
-        under.
-        """
-        linted = set(linted_paths)
-        entries = {
-            key: count
-            for key, count in self.entries.items()
-            if key.split("::", 1)[-1] not in linted
-        }
-        entries.update(Baseline.from_findings(findings).entries)
-        return Baseline(entries)
-
-    def apply(
-        self, findings: Sequence[Finding]
-    ) -> tuple[list[Finding], list[Finding]]:
-        """Split findings into ``(fresh, grandfathered)``."""
-        remaining = dict(self.entries)
-        fresh: list[Finding] = []
-        grandfathered: list[Finding] = []
-        for finding in findings:
-            if remaining.get(finding.key(), 0) > 0:
-                remaining[finding.key()] -= 1
-                grandfathered.append(finding)
-            else:
-                fresh.append(finding)
-        return fresh, grandfathered
-
-
 # -- driver ------------------------------------------------------------
 
 
@@ -332,17 +232,13 @@ class LintReport:
     """Everything one lint run produced."""
 
     findings: list[Finding]
-    grandfathered: list[Finding]
     suppressed: int
     files_checked: int
     parse_errors: list[Finding]
-    #: repo-relative paths actually parsed this run (what --fix-baseline
-    #: may rebuild; entries for other paths must be preserved)
-    checked_paths: set[str] = dataclass_field(default_factory=set)
 
     @property
     def failed(self) -> bool:
-        """True when any fresh error-severity finding remains."""
+        """True when any unsuppressed error-severity finding remains."""
         return any(f.severity == "error" for f in self.findings) or bool(
             self.parse_errors
         )
@@ -364,7 +260,7 @@ def collect_files(paths: Sequence[Path]) -> list[Path]:
 
 
 def relative_path(path: Path, root: Path | None = None) -> str:
-    """Repo-relative posix path when possible (stable baseline keys)."""
+    """Repo-relative posix path when possible."""
     base = root or Path.cwd()
     try:
         return path.resolve().relative_to(base.resolve()).as_posix()
@@ -398,75 +294,43 @@ def lint_source(
     return sorted(findings)
 
 
-def _parse_one(
-    file_path: Path, root: Path | None
-) -> tuple[ModuleSource | None, Finding | None]:
-    """Parse one file into a module, or a parse-error finding."""
-    rel = relative_path(file_path, root)
-    text = file_path.read_text()
-    try:
-        tree = ast.parse(text)
-    except SyntaxError as exc:
-        return None, Finding(
-            path=rel,
-            line=exc.lineno or 1,
-            column=(exc.offset or 0) + 1,
-            rule="IN000",
-            severity="error",
-            message=f"file does not parse: {exc.msg}",
-        )
-    return ModuleSource(rel, text, tree), None
-
-
 def parse_modules(
-    files: Sequence[Path],
-    root: Path | None = None,
-    jobs: int | None = None,
+    files: Sequence[Path], root: Path | None = None
 ) -> tuple[list[ModuleSource], list[Finding]]:
-    """Parse ``files`` (in parallel when ``jobs`` allows) into modules.
-
-    Parsing dominates lint wall-clock and ``ast.parse`` releases the
-    GIL while tokenizing, so a small thread pool gives a real speedup;
-    results come back in input order regardless of completion order.
-    """
-    if jobs is None:
-        jobs = min(8, len(files)) or 1
+    """Parse ``files`` into modules, plus an IN000 finding per file that
+    does not parse."""
     modules: list[ModuleSource] = []
     parse_errors: list[Finding] = []
-    if jobs <= 1 or len(files) <= 1:
-        parsed = [_parse_one(file_path, root) for file_path in files]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parsed = list(
-                pool.map(lambda file_path: _parse_one(file_path, root), files)
+    for file_path in files:
+        rel = relative_path(file_path, root)
+        text = file_path.read_text()
+        try:
+            tree = ast.parse(text)
+        except SyntaxError as exc:
+            parse_errors.append(
+                Finding(
+                    path=rel,
+                    line=exc.lineno or 1,
+                    column=(exc.offset or 0) + 1,
+                    rule="IN000",
+                    severity="error",
+                    message=f"file does not parse: {exc.msg}",
+                )
             )
-    for module, error in parsed:
-        if module is not None:
-            modules.append(module)
-        if error is not None:
-            parse_errors.append(error)
+            continue
+        modules.append(ModuleSource(rel, text, tree))
     return modules, parse_errors
 
 
 def run_lint(
     paths: Sequence[Path],
-    baseline: Baseline | None = None,
     root: Path | None = None,
     rule_ids: Sequence[str] | None = None,
-    report_paths: set[str] | None = None,
-    jobs: int | None = None,
 ) -> LintReport:
     """Lint every ``.py`` file under ``paths``.
 
-    ``baseline`` (when given) moves grandfathered findings out of the
-    failing set; ``root`` anchors the repo-relative paths used in
-    findings and baseline keys (defaults to the current directory).
-    ``rule_ids`` restricts the rule set; ``report_paths`` (when given)
-    restricts *reported* findings to those repo-relative paths while
-    still parsing and analyzing everything — the ``--changed-only``
-    quick path, which must keep the whole project visible or the
-    interprocedural rules would miss cross-file effects.  ``jobs``
-    bounds the parallel parse pool.
+    ``root`` anchors the repo-relative paths used in findings (defaults
+    to the current directory); ``rule_ids`` restricts the rule set.
     """
     from repro.analysis.lint.callgraph import Project
 
@@ -484,7 +348,7 @@ def run_lint(
     ]
 
     files = collect_files(paths)
-    modules, parse_errors = parse_modules(files, root, jobs)
+    modules, parse_errors = parse_modules(files, root)
     by_path = {module.path: module for module in modules}
 
     findings: list[Finding] = []
@@ -496,8 +360,6 @@ def run_lint(
             finding.rule, finding.line
         ):
             suppressed += 1
-            return
-        if report_paths is not None and finding.path not in report_paths:
             return
         findings.append(finding)
 
@@ -511,19 +373,10 @@ def run_lint(
             for finding in rule.check_project(project):
                 admit(by_path.get(finding.path), finding)
 
-    if report_paths is not None:
-        parse_errors = [
-            error for error in parse_errors if error.path in report_paths
-        ]
     findings.sort()
-    grandfathered: list[Finding] = []
-    if baseline is not None:
-        findings, grandfathered = baseline.apply(findings)
     return LintReport(
         findings=findings,
-        grandfathered=grandfathered,
         suppressed=suppressed,
         files_checked=len(files),
         parse_errors=parse_errors,
-        checked_paths={relative_path(file_path, root) for file_path in files},
     )

@@ -81,9 +81,6 @@ class InsightNotes:
         for memory are admitted there directly.  ``0`` (the default)
         runs without a disk tier — no store is opened and a memory
         victim is dropped.
-    trace_history:
-        How many recent per-query traces (:class:`~repro.zoomin.tracing.
-        QueryTrace`) the session retains for :meth:`trace`.
     shards:
         Number of storage shards.  ``1`` (the default) is the original
         single-file layout, byte-identical to previous releases.
@@ -117,7 +114,6 @@ class InsightNotes:
         cache_bytes: int = 4 * 1024 * 1024,
         cache_store: str | None = None,
         cache_disk_bytes: int = 0,
-        trace_history: int = 128,
         shards: int = 1,
     ) -> None:
         self.db = Database(path, shards=shards)
@@ -133,7 +129,7 @@ class InsightNotes:
             statistics=self.stats_registry,
         )
         self.results = ResultRegistry()
-        self.traces = TraceStore(capacity=trace_history)
+        self.traces = TraceStore()
         disk_store = None
         if cache_disk_bytes:
             # The disk tier must deserialize with *this* session's
@@ -643,7 +639,7 @@ class InsightNotes:
         timings when the query ran with ``trace=True``), and every
         cache event the result was involved in since.  None when the
         qid was never executed here or its trace aged out of the
-        bounded history (``trace_history``).
+        bounded history (the last 128 queries).
         """
         return self.traces.to_json(qid)
 

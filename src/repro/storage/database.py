@@ -156,21 +156,15 @@ class Database:
         single-file engine, byte-identical to before the backend split;
         ``N >= 2`` hash-partitions rows across ``N`` files (file-backed
         paths only — see DESIGN.md §11).
-    backend:
-        An explicit :class:`~repro.storage.backend.StorageBackend`,
-        overriding ``path`` / ``shards`` (tests and embedders plugging
-        in their own topology).
     """
 
     def __init__(
         self,
         path: str = ":memory:",
         shards: int = 1,
-        backend: StorageBackend | None = None,
     ) -> None:
-        if backend is not None:
-            self._backend: StorageBackend = backend
-        elif shards == 1:
+        self._backend: StorageBackend
+        if shards == 1:
             self._backend = SingleFileBackend(path)
         elif shards >= 2:
             self._backend = ShardedBackend(path, shards)

@@ -6,8 +6,9 @@ classes:
 * :class:`SummaryType` (level 1) — the technique family; a factory for
   instances, registered once with the engine.
 * :class:`SummaryInstance` (level 2) — a configured instantiation: the
-  concrete algorithm, its parameters, labels, trained model, and the
-  :class:`InstanceProperties` the maintenance layer uses for optimization.
+  concrete algorithm, its parameters, labels, trained model, and its
+  :class:`InstanceProperties` — declared, persisted and displayed
+  metadata that nothing on the write or read path reads.
 * :class:`SummaryObject` (level 3) — the per-tuple output that travels
   through query plans.
 
@@ -81,7 +82,7 @@ def sets_union(maps: Iterable[Mapping[_Key, set[int]]]) -> dict[_Key, set[int]]:
 
 @dataclass(frozen=True, slots=True)
 class InstanceProperties:
-    """Optimization-relevant properties of a summary instance.
+    """Declared properties of a summary instance (metadata only).
 
     ``annotation_invariant``
         True when summarizing a new annotation *a* over tuple *t* does not
@@ -335,8 +336,9 @@ class SummaryInstance(abc.ABC):
 
     * ``analyze`` computes the annotation-dependent part of the
       summarization (a *contribution*: predicted label, term vector,
-      extracted snippet).  When :attr:`properties` allow, the engine caches
-      contributions per annotation id.
+      extracted snippet).  A contribution lives for one batch: the write
+      path analyzes each annotation once per instance per batch, whatever
+      :attr:`properties` declare.
     * ``add_to`` folds a contribution into a tuple's summary object.
     """
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from repro.analysis.lint import lint_source
 from repro.analysis.lint.callgraph import Project, module_dotted_name
-from repro.analysis.lint.framework import ModuleSource, parse_modules
+from repro.analysis.lint.framework import ModuleSource
 from repro.analysis.lint.lockflow import get_lockflow
 
 FIXTURE = (

@@ -1,9 +1,9 @@
 """CLI-level tests for ``python -m repro.analysis.lint``.
 
 Exercise the exit-code contract (0 clean / 1 findings / 2 usage), both
-report formats, ``--output``, and the baseline workflow end to end on
-temporary trees — plus one subprocess test proving the module entry
-point works the way CI invokes it.
+report formats, ``--output`` and ``--rules`` on temporary trees — plus
+one subprocess test proving the module entry point works the way CI
+invokes it.
 """
 
 import json
@@ -36,7 +36,7 @@ BAD_SOURCE = textwrap.dedent(
 
 @pytest.fixture
 def tree(tmp_path, monkeypatch):
-    """A temp working tree; lint paths and baseline files live here."""
+    """A temp working tree; lint paths live here."""
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -70,12 +70,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["no/such/dir"])
         assert excinfo.value.code == 2
-
-    def test_bad_baseline_file_exits_two(self, tree, capsys):
-        write_module(tree, "pkg/clean.py", CLEAN_SOURCE)
-        (tree / "lint-baseline.json").write_text("{not json")
-        assert main(["pkg", "--baseline"]) == 2
-        assert "bad baseline file" in capsys.readouterr().err
 
 
 class TestFormats:
@@ -120,83 +114,6 @@ class TestFormats:
             assert rule_id in out
 
 
-class TestBaselineWorkflow:
-    def test_fix_baseline_then_baseline_run_passes(self, tree, capsys):
-        write_module(tree, "pkg/bad.py", BAD_SOURCE)
-        assert main(["pkg", "--fix-baseline"]) == 0
-        entries = json.loads((tree / "lint-baseline.json").read_text())
-        assert entries == {
-            "version": 1,
-            "entries": {"IN003::pkg/bad.py": 1},
-        }
-        capsys.readouterr()
-        assert main(["pkg", "--baseline"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_new_violation_in_baselined_file_still_fails(self, tree):
-        write_module(tree, "pkg/bad.py", BAD_SOURCE)
-        assert main(["pkg", "--fix-baseline"]) == 0
-        write_module(
-            tree,
-            "pkg/bad.py",
-            BAD_SOURCE
-            + "\n\ndef more(conn, t):\n"
-            '    return conn.execute(f"DROP TABLE {t}")\n',
-        )
-        assert main(["pkg", "--baseline"]) == 1
-
-    def test_baseline_flag_without_file_behaves_like_empty(self, tree):
-        write_module(tree, "pkg/bad.py", BAD_SOURCE)
-        assert main(["pkg", "--baseline"]) == 1
-
-    def test_fix_baseline_shrinks_entry_when_count_drops(self, tree):
-        # Two violations grandfathered; fixing one must shrink the
-        # allowance to 1, not leave a stale slot for a regression to
-        # hide under.
-        two_bad = BAD_SOURCE + (
-            "\n\ndef more(conn, t):\n"
-            '    return conn.execute(f"DROP TABLE {t}")\n'
-        )
-        write_module(tree, "pkg/bad.py", two_bad)
-        assert main(["pkg", "--fix-baseline"]) == 0
-        payload = json.loads((tree / "lint-baseline.json").read_text())
-        assert payload["entries"] == {"IN003::pkg/bad.py": 2}
-        write_module(tree, "pkg/bad.py", BAD_SOURCE)
-        assert main(["pkg", "--fix-baseline"]) == 0
-        payload = json.loads((tree / "lint-baseline.json").read_text())
-        assert payload["entries"] == {"IN003::pkg/bad.py": 1}
-
-    def test_fix_baseline_drops_entry_when_file_is_clean(self, tree):
-        write_module(tree, "pkg/bad.py", BAD_SOURCE)
-        assert main(["pkg", "--fix-baseline"]) == 0
-        write_module(tree, "pkg/bad.py", CLEAN_SOURCE)
-        assert main(["pkg", "--fix-baseline"]) == 0
-        payload = json.loads((tree / "lint-baseline.json").read_text())
-        assert payload["entries"] == {}
-
-    def test_fix_baseline_preserves_entries_outside_linted_paths(
-        self, tree
-    ):
-        # Refreshing from a subset of the tree must not wipe other
-        # files' grandfathered debt.
-        write_module(tree, "pkg/bad.py", BAD_SOURCE)
-        write_module(tree, "other/also_bad.py", BAD_SOURCE)
-        (tree / "lint-baseline.json").write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": {"IN003::other/also_bad.py": 1},
-                }
-            )
-        )
-        assert main(["pkg", "--fix-baseline"]) == 0
-        payload = json.loads((tree / "lint-baseline.json").read_text())
-        assert payload["entries"] == {
-            "IN003::other/also_bad.py": 1,
-            "IN003::pkg/bad.py": 1,
-        }
-
-
 class TestRuleSelection:
     def test_rules_flag_restricts_the_rule_set(self, tree, capsys):
         write_module(tree, "pkg/bad.py", BAD_SOURCE)
@@ -211,42 +128,6 @@ class TestRuleSelection:
         write_module(tree, "pkg/clean.py", CLEAN_SOURCE)
         assert main(["pkg", "--rules", "IN999"]) == 2
         assert "unknown rule ids" in capsys.readouterr().err
-
-    def test_jobs_flag_parses_in_parallel(self, tree, capsys):
-        for index in range(6):
-            write_module(tree, f"pkg/mod_{index}.py", CLEAN_SOURCE)
-        assert main(["pkg", "--jobs", "4"]) == 0
-        assert "6 file(s)" in capsys.readouterr().out
-
-
-class TestChangedOnly:
-    def _git(self, tree: Path, *argv: str) -> None:
-        subprocess.run(
-            [
-                "git",
-                "-c",
-                "user.email=lint@test",
-                "-c",
-                "user.name=lint",
-                *argv,
-            ],
-            cwd=tree,
-            check=True,
-            capture_output=True,
-        )
-
-    def test_changed_only_reports_only_changed_files(self, tree, capsys):
-        # A committed violation is invisible to --changed-only; a fresh
-        # (untracked) one still fails the run.
-        write_module(tree, "pkg/old_bad.py", BAD_SOURCE)
-        self._git(tree, "init", "-q")
-        self._git(tree, "add", ".")
-        self._git(tree, "commit", "-qm", "seed")
-        write_module(tree, "pkg/new_bad.py", BAD_SOURCE)
-        assert main(["pkg", "--changed-only"]) == 1
-        out = capsys.readouterr().out
-        assert "new_bad.py" in out
-        assert "old_bad.py" not in out
 
 
 def test_module_entry_point_subprocess(tmp_path):

@@ -8,9 +8,7 @@ must stand on their own semantics, not on the current tree's contents.
 
 import textwrap
 
-import pytest
-
-from repro.analysis.lint import Baseline, Finding, lint_source
+from repro.analysis.lint import lint_source
 
 
 def lint(source: str, path: str = "repro/module.py", rules=None):
@@ -641,51 +639,3 @@ class TestSuppression:
             """,
         )
         assert rule_ids(findings) == ["IN003"]
-
-
-# -- baseline ----------------------------------------------------------
-
-
-def _finding(rule="IN003", path="repro/storage/x.py", line=1):
-    return Finding(
-        path=path, line=line, column=1, rule=rule,
-        severity="error", message="m",
-    )
-
-
-class TestBaseline:
-    def test_apply_splits_fresh_from_grandfathered(self):
-        first, second = _finding(line=1), _finding(line=9)
-        baseline = Baseline.from_findings([first])
-        fresh, grandfathered = baseline.apply([first, second])
-        assert fresh == [second]
-        assert grandfathered == [first]
-
-    def test_counts_cap_the_allowance(self):
-        findings = [_finding(line=i) for i in range(1, 4)]
-        baseline = Baseline.from_findings(findings[:2])
-        fresh, grandfathered = baseline.apply(findings)
-        assert len(grandfathered) == 2
-        assert len(fresh) == 1
-
-    def test_save_load_roundtrip(self, tmp_path):
-        baseline = Baseline.from_findings([_finding(), _finding(line=2)])
-        target = tmp_path / "lint-baseline.json"
-        baseline.save(target)
-        loaded = Baseline.load(target)
-        assert loaded.entries == {"IN003::repro/storage/x.py": 2}
-
-    def test_missing_file_is_an_empty_baseline(self, tmp_path):
-        assert Baseline.load(tmp_path / "absent.json").entries == {}
-
-    def test_unsupported_version_is_rejected(self, tmp_path):
-        target = tmp_path / "lint-baseline.json"
-        target.write_text('{"version": 99, "entries": {}}')
-        with pytest.raises(ValueError, match="unsupported baseline version"):
-            Baseline.load(target)
-
-    def test_malformed_entries_are_rejected(self, tmp_path):
-        target = tmp_path / "lint-baseline.json"
-        target.write_text('{"version": 1, "entries": {"k": "two"}}')
-        with pytest.raises(ValueError, match="malformed baseline entries"):
-            Baseline.load(target)

@@ -9,7 +9,10 @@ plumbing is exercised separately via ``repro.concurrency``.
 
 import importlib.util
 import json
+import os
 import queue
+import subprocess
+import sys
 import threading
 from concurrent.futures import Future
 from pathlib import Path
@@ -24,6 +27,8 @@ from repro.analysis.sanitizer.runtime import (
     swap_state,
 )
 from repro.concurrency import LockSpec
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def spec(name: str, kind: str = "lock", guards_io: bool = False) -> LockSpec:
@@ -277,3 +282,33 @@ class TestCheckCommand:
     def test_missing_report_exits_two(self, tmp_path, capsys):
         assert sanitizer_check.main([str(tmp_path / "absent.json")]) == 2
         assert "cannot read" in capsys.readouterr().out
+
+
+class TestPluginImportsLight:
+    def test_sanitizer_import_loads_no_engine_module(self):
+        # The plugin enables the sanitizer before test modules import
+        # engine code that constructs locks; that only holds if importing
+        # the sanitizer does not import the engine itself.
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        env.pop("INSIGHT_SANITIZE", None)
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys\n"
+                "import repro.analysis.sanitizer\n"
+                "import repro.analysis.sanitizer.pytest_plugin\n"
+                "print('\\n'.join(sorted(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=60,
+        )
+        loaded = completed.stdout.split()
+        assert "repro.analysis.sanitizer" in loaded
+        assert [
+            name for name in loaded
+            if name == "repro.engine" or name.startswith("repro.engine.")
+        ] == []

@@ -131,12 +131,13 @@ class TestSessionTracing:
         notes.close()
 
     def test_trace_history_is_bounded(self):
-        notes = self._populated(trace_history=2)
-        qids = [
-            notes.query("SELECT name FROM birds").qid for _ in range(3)
-        ]
-        assert notes.trace(qids[0]) is None
-        assert notes.trace(qids[2]) is not None
+        notes = self._populated()
+        results = [notes.query("SELECT name FROM birds") for _ in range(3)]
+        store = TraceStore(capacity=2)
+        for result in results:
+            store.record_query(result)
+        assert store.to_json(results[0].qid) is None
+        assert store.to_json(results[2].qid) is not None
         notes.close()
 
     def test_statistics_expose_unified_zoomin_counters(self):
